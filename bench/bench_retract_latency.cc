@@ -5,6 +5,12 @@
 // with a stratified negation rule added (negation invalidates recorded
 // supports, so every retract rebuilds the model from the EDB). The gap
 // between the two is what the support log buys.
+//
+// BM_RetractClosure times DRed on a ~60k-atom closure, where the cost of
+// an in-place retract follows the suffix after the first deleted atom:
+// retracting the most recently asserted edge touches only the tail of
+// the model, while retracting an original EDB edge at index 0 compacts
+// the whole model (the worst case).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -139,6 +145,78 @@ void BM_RetractLatency(benchmark::State& state) {
 // (auto-scaling would exhaust the pool).
 BENCHMARK(BM_RetractLatency)->Arg(1)->Arg(0)
     ->Iterations(1000)->Unit(benchmark::kMillisecond);
+
+// A ~60k-atom closure: a 300-node chain a0 -> ... -> a299 (44.9k t
+// atoms) fed by 50 source edges e(s_k, a0) (15k more). The source edges
+// are inserted first, so they hold the lowest EDB and model indices.
+constexpr int kClosureChain = 300;
+constexpr int kClosureSources = 50;
+
+Database ClosureDatabase(SymbolTable* syms) {
+  Database db;
+  RelationId e = syms->Relation("e", 2);
+  for (int k = 0; k < kClosureSources; ++k) {
+    db.Insert(Atom(e, {syms->Constant("s" + std::to_string(k)),
+                       syms->Constant("a0")}));
+  }
+  Database chain = ChainDatabase(kClosureChain, "e", syms);
+  for (const Atom& a : chain.atoms()) db.Insert(a);
+  return db;
+}
+
+// Arg 0: assert a fresh edge e(x_i, a0) (untimed), then time its
+// retract — the deleted atoms sit at the end of the model. Arg 1: time
+// the retract of the source edge currently at EDB and model index 0,
+// then re-assert it (untimed), which moves it to the end and leaves the
+// next source edge at index 0 — every iteration compacts the whole
+// model.
+void BM_RetractClosure(benchmark::State& state) {
+  const bool low_index = state.range(0) == 1;
+  SymbolTable syms;
+  Theory theory = MustTheory(kTcTheory, &syms);
+  auto kb = PreparedKb::Prepare(theory, ClosureDatabase(&syms), &syms);
+  if (!kb.ok()) {
+    state.SkipWithError(kb.status().message().c_str());
+    return;
+  }
+  RelationId e = syms.Relation("e", 2);
+  Term head = syms.Constant("a0");
+  std::vector<Atom> facts;
+  for (int i = 0; i < kClosureSources; ++i) {
+    std::string from = (low_index ? "s" : "x") + std::to_string(i);
+    facts.emplace_back(e, std::vector<Term>{syms.Constant(from), head});
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (i >= facts.size()) {
+      state.SkipWithError("fact pool exhausted");
+      return;
+    }
+    if (!low_index && !kb.value()->Assert({facts[i]}).ok()) {
+      state.SkipWithError("assert failed");
+      return;
+    }
+    state.ResumeTiming();
+    auto r = kb.value()->Retract({facts[i]});
+    state.PauseTiming();
+    if (!r.ok() || (low_index && !kb.value()->Assert({facts[i]}).ok())) {
+      state.SkipWithError("retract/re-assert failed");
+      return;
+    }
+    ++i;
+    state.ResumeTiming();
+  }
+  ServiceStats stats = kb.value()->stats();
+  state.counters["retracts_dred"] = static_cast<double>(stats.retracts_dred);
+  state.counters["overdeleted"] =
+      static_cast<double>(stats.overdeleted_atoms);
+  state.counters["model_atoms"] = static_cast<double>(stats.model_atoms);
+  state.SetLabel(low_index ? "EDB edge at index 0" : "last asserted edge");
+}
+// One iteration per pooled source edge.
+BENCHMARK(BM_RetractClosure)->Arg(0)->Arg(1)
+    ->Iterations(kClosureSources)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -114,6 +114,73 @@ void Database::IndexShardRange(size_t shard, size_t begin, size_t end) {
   }
 }
 
+void Database::TruncatePostings(const Atom& atom, uint32_t first) {
+  auto cut = [first](auto& shard, const auto& key) {
+    auto it = shard.find(key);
+    if (it == shard.end() || it->second.back() < first) return;
+    std::vector<uint32_t>& list = it->second;
+    list.erase(std::lower_bound(list.begin(), list.end(), first), list.end());
+    if (list.empty()) shard.erase(it);
+  };
+  cut(by_relation_[RelationShardOf(atom.pred)], atom.pred);
+  if (position_index_enabled_) {
+    uint32_t pos = 0;
+    for (Term t : atom.args) {
+      PositionKey key(atom.pred, pos++, t);
+      cut(by_position_[PositionShardOf(key)], key);
+    }
+    for (Term t : atom.annotation) {
+      PositionKey key(atom.pred, pos++, t);
+      cut(by_position_[PositionShardOf(key)], key);
+    }
+  }
+}
+
+void Database::EraseAtoms(const std::vector<uint32_t>& dead,
+                          std::vector<uint32_t>* remap) {
+  remap->clear();
+  if (dead.empty()) return;
+  GEREL_CHECK(indexed_upto_ == size());  // IndexNewAtoms owed first.
+  const size_t n = size();
+  const uint32_t first = dead.front();
+  for (size_t k = 1; k < dead.size(); ++k) {
+    GEREL_CHECK(dead[k - 1] < dead[k]);
+  }
+  GEREL_CHECK(dead.back() < n);
+  auto slot = [this](size_t i) -> Atom& {
+    return (*segments_[i >> kSegmentBits])[i & kSegmentMask];
+  };
+  // Unhook the suffix: the dead atoms leave the dedup set, and every
+  // postings list the suffix touches is cut back to its entries below
+  // `first` (the prefix keeps its indices, so those entries stay valid).
+  for (uint32_t d : dead) set_shards_[SetShardOf(slot(d))].set.erase(slot(d));
+  for (size_t i = first; i < n; ++i) TruncatePostings(slot(i), first);
+  // Close the gaps, keeping the survivors' order.
+  remap->assign(n - first, kErased);
+  size_t kept = first;
+  size_t next = 0;
+  for (size_t i = first; i < n; ++i) {
+    if (next < dead.size() && dead[next] == i) {
+      ++next;
+      continue;
+    }
+    (*remap)[i - first] = static_cast<uint32_t>(kept);
+    if (kept != i) slot(kept) = std::move(slot(i));
+    ++kept;
+  }
+  // Release the vacated slots and segments.
+  size_t segments = (kept + kSegmentMask) >> kSegmentBits;
+  for (size_t i = kept; i < std::min(n, segments << kSegmentBits); ++i) {
+    slot(i) = Atom();
+  }
+  segments_.resize(segments);
+  size_.store(kept, std::memory_order_release);
+  // Re-append the survivors' postings in index order: every list ends
+  // up exactly as an in-order rebuild would leave it.
+  indexed_upto_ = first;
+  IndexNewAtoms(nullptr);
+}
+
 bool Database::Insert(const Atom& atom) {
   if (!InsertDeferIndex(atom)) return false;
   IndexNewAtoms(nullptr);

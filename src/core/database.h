@@ -11,8 +11,9 @@
 //
 // Threading contract — a Database is in exactly one mode at a time:
 //  * Owner mode (default): all mutation through one thread via Insert /
-//    InsertDeferIndex; no locks are taken. Concurrent *readers* are safe
-//    while the owner is idle (the chase's enumeration phase).
+//    InsertDeferIndex / EraseAtoms; no locks are taken. Concurrent
+//    *readers* are safe while the owner is idle (the chase's enumeration
+//    phase).
 //  * Concurrent mode: after ReserveConcurrent, any number of threads may
 //    call InsertConcurrent / ContainsConcurrent / CopyAtomsOf while
 //    others read SnapshotSize() and atom(i) for i < SnapshotSize().
@@ -38,9 +39,12 @@ namespace gerel {
 class Theory;
 class WorkerPool;
 
-// An append-only set of database atoms (ground over constants/nulls).
-// Atom identities are dense indices [0, size()); insertion order is
-// preserved, which the chase relies on for fairness.
+// An insertion-ordered set of database atoms (ground over
+// constants/nulls). Atom identities are dense indices [0, size());
+// insertion order is preserved, which the chase relies on for fairness.
+// Atoms are only ever appended, except through the owner-mode
+// EraseAtoms, which is order-preserving: survivors keep their relative
+// order and only atoms after the first erased index move down.
 class Database {
  public:
   Database() = default;
@@ -76,6 +80,20 @@ class Database {
                                std::vector<uint8_t>* is_new);
 
   bool Contains(const Atom& atom) const;
+
+  // Marks an erased atom in EraseAtoms' remap.
+  static constexpr uint32_t kErased = 0xffffffffu;
+  // Order-preserving erase of the atoms at `dead` (strictly increasing
+  // indices). Atoms before dead[0] keep their indices; every later
+  // survivor moves down to close the gaps, keeping its relative order,
+  // so the result equals inserting the survivors in order into a fresh
+  // database. On return (*remap)[k] is the new index of old atom
+  // dead[0] + k, or kErased (empty when `dead` is). Costs
+  // O(size() - dead[0]) atom moves and postings updates: postings lists
+  // are ascending, so only their tails from dead[0] on are rewritten.
+  // Owner mode only, with no postings owed (IndexNewAtoms first).
+  void EraseAtoms(const std::vector<uint32_t>& dead,
+                  std::vector<uint32_t>* remap);
 
   // ---- Concurrent mode ----
   // Pre-sizes the segment directory for up to `max_atoms` atoms so the
@@ -238,6 +256,9 @@ class Database {
   void IndexAtom(const Atom& atom, uint32_t index);
   // Builds the postings of shard `shard` for atom indices [begin, end).
   void IndexShardRange(size_t shard, size_t begin, size_t end);
+  // Cuts the postings of `atom` back to the entries below `first`,
+  // dropping lists that become empty.
+  void TruncatePostings(const Atom& atom, uint32_t first);
 
   std::vector<std::unique_ptr<Segment>> segments_;
   std::atomic<size_t> size_{0};

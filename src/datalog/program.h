@@ -62,8 +62,13 @@ class DatalogProgram {
   // [delta_begin, db->size()). Only derivations reachable from the delta
   // are recomputed (always semi-naive, whatever options.seminaive says).
   // Requires a negation-free program: under stratified negation new
-  // facts can invalidate earlier derivations, which an append-only
+  // facts can invalidate earlier derivations, which extending the
   // database cannot express — callers must re-Materialize instead.
+  // Retraction is the caller's job (PreparedKb's DRed): it may shrink
+  // *db between passes only through the owner-mode, order-preserving
+  // Database::EraseAtoms, applying the same remap to the support log
+  // (SupportLog::EraseAtoms), which keeps recorded supports well-founded
+  // for the next pass.
   // Does NOT populate acdom; callers insert acdom atoms for new terms as
   // part of the delta if they rely on the built-in.
   Result<EvalPassStats> ExtendWithDelta(Database* db, size_t delta_begin);

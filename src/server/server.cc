@@ -91,7 +91,13 @@ Status SocketServer::Start() {
 
 void SocketServer::Shutdown() {
   if (!started_) return;
-  stopping_.store(true);
+  {
+    // Set under the queue mutex: a worker that has checked its wait
+    // predicate but not yet blocked would otherwise miss the wake-up
+    // below and never return, hanging the join.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stopping_.store(true);
+  }
   if (listen_fd_ >= 0) {
     // Unblocks the accept poll; the loop exits on the flag.
     ::shutdown(listen_fd_, SHUT_RDWR);

@@ -24,6 +24,19 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
+// Index of `a` in `db`, or -1 when absent.
+int64_t IndexOf(const Database& db, const Atom& a) {
+  const std::vector<uint32_t>* postings = &db.AtomsOf(a.pred);
+  if (db.position_index_enabled() && !a.args.empty()) {
+    const std::vector<uint32_t>& cand = db.AtomsAt(a.pred, 0, a.args[0]);
+    if (cand.size() < postings->size()) postings = &cand;
+  }
+  for (uint32_t i : *postings) {
+    if (db.atom(i) == a) return i;
+  }
+  return -1;
+}
+
 }  // namespace
 
 PreparedKb::PreparedKb(SymbolTable* symbols, const PreparedKbOptions& options)
@@ -589,40 +602,56 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
     return out;
   }
 
-  // Which active-domain terms vanish with the retracted facts: count
-  // every term occurrence in the (non-acdom) EDB, subtract the retracted
-  // occurrences, and a term whose count hits zero leaves the domain
-  // unless it is a program constant (PopulateAcdom's two sources).
-  std::unordered_map<uint32_t, size_t> occurrences;
-  for (const Atom& a : edb_.atoms()) {
-    if (a.pred == acdom_) continue;
-    for (Term t : a.AllTerms()) ++occurrences[t.bits()];
+  // Shrink the EDB in place; both paths need the surviving base facts
+  // (an overdeleted atom that is still a base fact must not be deleted).
+  std::vector<uint32_t> erased;
+  for (const Atom& f : targets) {
+    erased.push_back(static_cast<uint32_t>(IndexOf(edb_, f)));  // Validated.
   }
-  // The exclusion set must be the *source* theory's constants, not the
-  // compiled program's: in wg mode the partial grounding bakes EDB
-  // constants into rules, so the compiled theory "contains" every domain
-  // constant and nothing would ever vanish — leaving stale acdom atoms
-  // that a fresh Prepare would not derive.
+  std::sort(erased.begin(), erased.end());
+  std::vector<uint32_t> remap;
+  edb_.EraseAtoms(erased, &remap);
+
+  // Which active-domain terms vanish with the retracted facts: a term of
+  // a retracted non-acdom fact that no surviving non-acdom EDB atom
+  // mentions (found through the EDB's postings, not a scan) leaves the
+  // domain unless it is a program constant (PopulateAcdom's two
+  // sources). The exclusion set must be the *source* theory's constants,
+  // not the compiled program's: in wg mode the partial grounding bakes
+  // EDB constants into rules, so the compiled theory "contains" every
+  // domain constant and nothing would ever vanish — leaving stale acdom
+  // atoms that a fresh Prepare would not derive.
+  auto mentioned = [&](Term t) {
+    for (RelationId r = 0; r < symbols_->NumRelations(); ++r) {
+      const std::vector<uint32_t>& atoms = edb_.AtomsOf(r);
+      if (r == acdom_ || atoms.empty()) continue;
+      if (!edb_.position_index_enabled()) {
+        for (uint32_t i : atoms) {
+          std::vector<Term> terms = edb_.atom(i).AllTerms();
+          if (std::find(terms.begin(), terms.end(), t) != terms.end()) {
+            return true;
+          }
+        }
+        continue;
+      }
+      for (uint32_t pos = 0; pos < edb_.atom(atoms[0]).arity(); ++pos) {
+        if (!edb_.AtomsAt(r, pos, t).empty()) return true;
+      }
+    }
+    return false;
+  };
   std::unordered_set<uint32_t> program_constants;
   for (Term t : weakly_guarded_.Constants()) {
     program_constants.insert(t.bits());
   }
   bool null_retracted = false;
-  for (const Atom& f : targets) {
-    for (Term t : f.AllTerms()) {
-      if (t.IsNull()) null_retracted = true;
-    }
-    if (f.pred == acdom_) continue;
-    for (Term t : f.AllTerms()) --occurrences[t.bits()];
-  }
   std::vector<Term> vanished;
   std::unordered_set<uint32_t> vanished_seen;
   for (const Atom& f : targets) {
-    if (f.pred == acdom_) continue;
     for (Term t : f.AllTerms()) {
-      if (occurrences[t.bits()] == 0 &&
-          program_constants.count(t.bits()) == 0 &&
-          vanished_seen.insert(t.bits()).second) {
+      if (t.IsNull()) null_retracted = true;
+      if (f.pred != acdom_ && program_constants.count(t.bits()) == 0 &&
+          vanished_seen.insert(t.bits()).second && !mentioned(t)) {
         vanished.push_back(t);
       }
     }
@@ -644,38 +673,22 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
   bool fallback = recompile || mode_ == Mode::kChaseMaterialized ||
                   program_->has_negation() || !supports_valid_;
 
-  // The surviving EDB, needed by both paths (an overdeleted atom that is
-  // still a base fact must not be deleted).
-  Database new_edb;
-  for (const Atom& a : edb_.atoms()) {
-    if (targets.count(a) == 0) new_edb.Insert(a);
-  }
-
   size_t overdeleted = 0;
   size_t rederived = 0;
-  bool dred_ok = false;
-  if (!fallback) {
-    Database new_model;
-    SupportLog new_log;
-    dred_ok = RetractDRed(targets, vanished, new_edb, &new_model, &new_log,
-                          &overdeleted, &rederived);
-    if (dred_ok) {
-      edb_ = std::move(new_edb);
-      model_ = std::move(new_model);
-      supports_ = std::move(new_log);
-      supports_valid_ = true;
-      out.overdeleted_atoms = overdeleted;
-      out.rederived_atoms = rederived;
-    }
+  bool dred_ok =
+      !fallback && RetractDRed(targets, vanished, &overdeleted, &rederived);
+  if (dred_ok) {
+    out.overdeleted_atoms = overdeleted;
+    out.rederived_atoms = rederived;
   }
   double transform_ms = 0.0;
   double materialize_ms = 0.0;
   if (!dred_ok) {
     // Fallback: rebuild the model from the surviving EDB (recompiling
-    // the data-dependent stages first when the wg grounding is stale).
-    // A budget that tripped mid-DRed degrades this pass too — the model
-    // stays a sound under-approximation, never unsound.
-    edb_ = std::move(new_edb);
+    // the data-dependent stages first when the wg grounding is stale),
+    // overwriting whatever a budget-tripped DRed left half edited. The
+    // tripped budget degrades this pass too — the model stays a sound
+    // under-approximation, never unsound.
     if (recompile) {
       Clock::time_point transform_start = Clock::now();
       Status s = CompileProgram();
@@ -722,123 +735,97 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
 
 bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
                              const std::vector<Term>& vanished,
-                             const Database& new_edb, Database* new_model,
-                             SupportLog* new_log, size_t* overdeleted,
-                             size_t* rederived) const {
-  const size_t n = model_.size();
-  std::vector<uint8_t> deleted(n, 0);
-  auto find_index = [&](const Atom& a) -> int64_t {
-    const std::vector<uint32_t>* postings = &model_.AtomsOf(a.pred);
-    if (model_.position_index_enabled() && !a.args.empty()) {
-      const std::vector<uint32_t>& cand = model_.AtomsAt(a.pred, 0, a.args[0]);
-      if (cand.size() < postings->size()) postings = &cand;
-    }
-    for (uint32_t ai : *postings) {
-      if (model_.atom(ai) == a) return ai;
-    }
-    return -1;
+                             size_t* overdeleted, size_t* rederived) {
+  // Seed deletions: the retracted facts themselves (EDB ⊆ model) plus
+  // the acdom atoms of terms leaving the active domain.
+  std::vector<uint32_t> seeds;
+  auto seed = [&](const Atom& a) {
+    int64_t i = IndexOf(model_, a);
+    if (i >= 0) seeds.push_back(static_cast<uint32_t>(i));
   };
-  // Seed deletions: the retracted facts themselves plus the acdom atoms
-  // of terms leaving the active domain.
-  for (const Atom& f : targets) {
-    int64_t i = find_index(f);
-    if (i >= 0) deleted[i] = 1;  // EDB ⊆ model, so this always hits.
-  }
-  for (Term t : vanished) {
-    int64_t i = find_index(Atom(acdom_, {t}));
-    if (i >= 0) deleted[i] = 1;
-  }
-  size_t seeds = 0;
-  for (size_t i = 0; i < n; ++i) seeds += deleted[i];
+  for (const Atom& f : targets) seed(f);  // EDB ⊆ model: always hits.
+  for (Term t : vanished) seed(Atom(acdom_, {t}));
+  if (seeds.empty()) return true;
+  std::sort(seeds.begin(), seeds.end());
+  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+  const size_t n = model_.size();
+  const uint32_t first = seeds.front();
+  std::vector<uint8_t> deleted(n - first, 0);  // Offset by `first`.
+  for (uint32_t i : seeds) deleted[i - first] = 1;
 
-  // Overdelete: one forward pass suffices because supports are
-  // well-founded — every recorded body index precedes the derived
-  // atom's index, so deleted[] is final for all support members by the
-  // time atom i is visited.
+  // Overdelete: one forward pass from the first seed suffices because
+  // supports are well-founded — every recorded body index precedes the
+  // derived atom's index, so deleted[] is final for all support members
+  // by the time atom i is visited, and nothing before `first` can lose
+  // a witness.
   if (!budget_->CheckRound(GovernedStage::kDatalog, 1, n)) return false;
-  for (size_t i = 0; i < n; ++i) {
-    if (deleted[i]) continue;
-    if (!budget_->CheckPoint(GovernedStage::kDatalog)) return false;
-    SupportLog::Entry e = supports_.Of(i);
-    if (e.rule == SupportLog::kNoRule) continue;  // Base fact.
-    bool dead = false;
-    for (uint32_t p = e.begin; p < e.end; ++p) {
-      if (deleted[supports_.pool[p]]) {
-        dead = true;
-        break;
+  std::vector<uint32_t> dead;
+  std::vector<Atom> candidates;
+  for (size_t i = first; i < n; ++i) {
+    if (!deleted[i - first]) {
+      if (!budget_->CheckPoint(GovernedStage::kDatalog)) return false;
+      SupportLog::Entry e = supports_.Of(i);
+      if (e.rule == SupportLog::kNoRule) continue;  // Base fact.
+      bool lost = false;
+      for (uint32_t p = e.begin; p < e.end && !lost; ++p) {
+        uint32_t body = supports_.pool[p];
+        lost = body >= first && deleted[body - first];
       }
+      // An atom that is still a base fact survives its lost witness.
+      if (!lost || edb_.Contains(model_.atom(i))) continue;
+      deleted[i - first] = 1;
     }
-    if (!dead) continue;
-    // An atom that is still a base fact survives its lost witness.
-    if (new_edb.Contains(model_.atom(i))) continue;
-    deleted[i] = 1;
+    dead.push_back(static_cast<uint32_t>(i));
+    candidates.push_back(model_.atom(i));
   }
-  size_t total_deleted = 0;
-  for (size_t i = 0; i < n; ++i) total_deleted += deleted[i];
-  *overdeleted = total_deleted - seeds;
+  *overdeleted = dead.size() - seeds.size();
 
-  // Prune: rebuild the surviving model in order, remapping supports.
-  // A surviving atom whose witness cites a deleted atom is exactly the
-  // base-fact case above; it degrades to a no-rule entry.
-  std::vector<uint32_t> remap(n, 0);
-  std::vector<uint32_t> body_scratch;
-  for (size_t i = 0; i < n; ++i) {
-    if (deleted[i]) continue;
-    new_model->Insert(model_.atom(i));
-    uint32_t ni = static_cast<uint32_t>(new_model->size() - 1);
-    remap[i] = ni;
-    SupportLog::Entry e = supports_.Of(i);
-    if (e.rule == SupportLog::kNoRule) continue;
-    bool stale = false;
-    body_scratch.clear();
-    for (uint32_t p = e.begin; p < e.end; ++p) {
-      if (deleted[supports_.pool[p]]) {
-        stale = true;
-        break;
-      }
-      body_scratch.push_back(remap[supports_.pool[p]]);
-    }
-    if (stale) continue;
-    new_log->Record(ni, e.rule, body_scratch.data(), body_scratch.size());
-  }
+  // Erase in place: survivors keep their order, remapped supports
+  // follow them, and a survivor whose witness cites an erased atom (the
+  // base-fact case above) degrades to a no-rule entry.
+  std::vector<uint32_t> remap;
+  model_.EraseAtoms(dead, &remap);
+  supports_.EraseAtoms(first, remap);
 
   // Rederive: an overdeleted atom may still be entailed by the pruned
   // model (a second derivation the single-witness log did not record, or
   // via atoms rederived this round). For each candidate, unify it with a
-  // rule head and join the rule's body over the new model; repeat until
-  // a pass restores nothing. This converges to exactly the least model
-  // of the surviving EDB: every candidate is in the old model, so no
-  // new atoms can appear, and any entailed candidate is eventually
-  // restored once its body atoms are.
+  // rule head and join the rule's body over the model; repeat until a
+  // pass restores nothing. This converges to exactly the least model of
+  // the surviving EDB: every candidate is in the old model, so no new
+  // atoms can appear, and any entailed candidate is eventually restored
+  // once its body atoms are. Each (rule, head atom) pair compiles its
+  // join plan once: the head's variables are exactly the pre-bound ones,
+  // whatever candidate unified with it.
+  struct HeadUse {
+    uint32_t rule;
+    uint32_t head;
+    std::unique_ptr<JoinPlan> plan;  // Compiled on first use.
+  };
   const Theory& th = program_->theory();
-  std::unordered_map<RelationId, std::vector<std::pair<uint32_t, uint32_t>>>
-      heads_by_pred;
+  std::unordered_map<RelationId, std::vector<HeadUse>> heads_by_pred;
   for (uint32_t ri = 0; ri < th.rules().size(); ++ri) {
     const Rule& r = th.rules()[ri];
     for (uint32_t hi = 0; hi < r.head.size(); ++hi) {
-      heads_by_pred[r.head[hi].pred].emplace_back(ri, hi);
+      heads_by_pred[r.head[hi].pred].push_back({ri, hi, nullptr});
     }
   }
-  std::vector<Atom> candidates;
-  candidates.reserve(total_deleted);
-  for (size_t i = 0; i < n; ++i) {
-    if (deleted[i]) candidates.push_back(model_.atom(i));
-  }
   JoinExecutor exec;
+  std::vector<std::pair<Term, Term>> binds;
   auto try_rederive = [&](const Atom& goal, uint32_t* out_rule,
                           std::vector<uint32_t>* out_body) -> bool {
     auto it = heads_by_pred.find(goal.pred);
     if (it == heads_by_pred.end()) return false;
-    for (auto [ri, hi] : it->second) {
-      const Rule& r = th.rules()[ri];
-      const Atom& h = r.head[hi];
+    for (HeadUse& use : it->second) {
+      const Rule& r = th.rules()[use.rule];
+      const Atom& h = r.head[use.head];
       if (h.args.size() != goal.args.size() ||
           h.annotation.size() != goal.annotation.size()) {
         continue;
       }
       // Unify the ground goal against the head atom: constants must
       // match, variables bind consistently.
-      std::vector<std::pair<Term, Term>> binds;
+      binds.clear();
       bool ok = true;
       auto unify = [&](Term ht, Term gt) {
         if (!ok) return;
@@ -859,20 +846,20 @@ bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
         unify(h.annotation[k], goal.annotation[k]);
       }
       if (!ok) continue;
-      std::vector<Atom> positives;
-      positives.reserve(r.body.size());
-      for (const Literal& l : r.body) positives.push_back(l.atom);
-      std::vector<Term> pre_bound;
-      pre_bound.reserve(binds.size());
-      for (const auto& [v, val] : binds) pre_bound.push_back(v);
-      JoinPlan plan(positives, pre_bound);
-      exec.Reset(plan);
+      if (use.plan == nullptr) {
+        std::vector<Atom> positives;
+        for (const Literal& l : r.body) positives.push_back(l.atom);
+        std::vector<Term> pre_bound;
+        for (const auto& [v, val] : binds) pre_bound.push_back(v);
+        use.plan = std::make_unique<JoinPlan>(positives, pre_bound);
+      }
+      exec.Reset(*use.plan);
       for (const auto& [v, val] : binds) exec.Bind(v, val);
       bool found = false;
       exec.Execute(
-          plan, *new_model,
+          *use.plan, model_,
           [&](const JoinExecutor& e) {
-            *out_rule = ri;
+            *out_rule = use.rule;
             *out_body = e.MatchedAtomIndices();
             found = true;
             return false;  // The first witness suffices.
@@ -883,23 +870,22 @@ bool PreparedKb::RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
     return false;
   };
   std::vector<char> restored(candidates.size(), 0);
+  std::vector<uint32_t> body;
   uint64_t round = 1;
   bool progress = true;
   while (progress) {
     progress = false;
     if (!budget_->CheckRound(GovernedStage::kDatalog, ++round,
-                             new_model->size())) {
+                             model_.size())) {
       return false;
     }
     for (size_t ci = 0; ci < candidates.size(); ++ci) {
       if (restored[ci]) continue;
       if (!budget_->CheckPoint(GovernedStage::kDatalog)) return false;
       uint32_t rule = 0;
-      body_scratch.clear();
-      if (!try_rederive(candidates[ci], &rule, &body_scratch)) continue;
-      new_model->Insert(candidates[ci]);
-      new_log->Record(new_model->size() - 1, rule, body_scratch.data(),
-                      body_scratch.size());
+      if (!try_rederive(candidates[ci], &rule, &body)) continue;
+      model_.Insert(candidates[ci]);
+      supports_.Record(model_.size() - 1, rule, body.data(), body.size());
       restored[ci] = 1;
       ++*rederived;
       progress = true;
@@ -916,6 +902,11 @@ std::vector<Atom> PreparedKb::ModelAtoms() const {
 std::vector<Atom> PreparedKb::EdbAtoms() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return edb_.AtomsVector();
+}
+
+size_t PreparedKb::support_pool_size() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return supports_.pool.size();
 }
 
 ServiceStats PreparedKb::stats() const {

@@ -30,10 +30,12 @@
 //   Retract:  remove EDB facts incrementally by DRed (delete/re-derive):
 //             a per-atom derivation-support log recorded during
 //             materialization overdeletes the support cascade in one
-//             forward pass, the pruned model is rebuilt, and overdeleted
-//             atoms are rederived against it by rerunning their rules —
-//             the result is exactly the least model of the surviving
-//             EDB. Falls back to an epoch-bump full re-materialization
+//             forward pass from the first deleted atom, the EDB, model
+//             and log erase the dead atoms in place (order-preserving
+//             compaction of the suffix only), and overdeleted atoms are
+//             rederived into the model by rerunning their rules — the
+//             result is exactly the least model of the surviving EDB.
+//             Falls back to an epoch-bump full re-materialization
 //             when the program has negation, the support log is invalid
 //             (degraded materialization, snapshot load), a weakly
 //             guarded theory's constant domain shrinks or the retracted
@@ -252,6 +254,9 @@ class PreparedKb {
   // and the differential harness (shared lock; order is insertion order).
   std::vector<Atom> ModelAtoms() const;
   std::vector<Atom> EdbAtoms() const;
+  // Length of the support log's body-index pool; retraction compacts it,
+  // so it tracks the recorded supports of the current model.
+  size_t support_pool_size() const;
 
  private:
   PreparedKb(SymbolTable* symbols, const PreparedKbOptions& options);
@@ -273,14 +278,15 @@ class PreparedKb {
   // counters. Exclusive lock held; takes stats_mu_ internally.
   void EvictCacheForWrite(std::unordered_set<RelationId> written,
                           bool domain_changed);
-  // The DRed core: overdelete/prune/rederive against `new_edb` into
-  // *new_model / *new_log. Returns false when the budget tripped
-  // mid-retract; the caller falls back to re-materialization. Exclusive
-  // lock held; model_/supports_ are read, not written.
+  // The DRed core, run after edb_ has shed `targets`: overdeletes from
+  // the first seed index on, erases the dead atoms from model_ and
+  // supports_ in place (order-preserving), and rederives straight into
+  // model_. Returns false when the budget tripped mid-retract, possibly
+  // leaving model_/supports_ half edited; the caller then falls back to
+  // re-materialization, which overwrites both. Exclusive lock held.
   bool RetractDRed(const std::unordered_set<Atom, AtomHash>& targets,
-                   const std::vector<Term>& vanished, const Database& new_edb,
-                   Database* new_model, SupportLog* new_log,
-                   size_t* overdeleted, size_t* rederived) const;
+                   const std::vector<Term>& vanished, size_t* overdeleted,
+                   size_t* rederived);
   // Completeness certificate for a query: the materialized model decides
   // the certain answers — either it is a universal model (chase mode) or
   // no body relation of `cq` can hold a labeled null in the chase.

@@ -398,5 +398,168 @@ TEST(DatabaseTest, InsertBatchDeferIndexSequentialFallback) {
   EXPECT_EQ(with_pool, without_pool);
 }
 
+
+// --- EraseAtoms: order-preserving erase == in-order rebuild ---
+
+// Atoms over a binary, a unary and an annotated relation, enough to span
+// three 512-atom segments.
+struct EraseFixture {
+  SymbolTable syms;
+  std::vector<RelationId> rels;
+  std::vector<Term> consts;
+  std::vector<Atom> atoms;
+
+  EraseFixture() {
+    rels = {syms.Relation("r", 2), syms.Relation("u", 1),
+            syms.Relation("n", 2)};
+    for (int i = 0; i < 40; ++i) {
+      consts.push_back(syms.Constant("c" + std::to_string(i)));
+    }
+    for (int i = 0; i < 40; ++i) {
+      for (int j = 0; j < 30; ++j) {
+        atoms.push_back(Atom(rels[0], {consts[i], consts[(i * 7 + j) % 40]}));
+      }
+      atoms.push_back(Atom(rels[1], {consts[i]}));
+      atoms.push_back(Atom(rels[2], {consts[i]}, {consts[(i + 3) % 40]}));
+    }
+  }
+
+  Database Build(bool position_index) const {
+    Database db;
+    db.set_position_index_enabled(position_index);
+    for (const Atom& a : atoms) db.Insert(a);
+    return db;
+  }
+
+  // Erases `dead` from a fresh database and checks the result, and the
+  // remap, against inserting the survivors in order.
+  void Check(const std::vector<uint32_t>& dead, bool position_index = true) {
+    Database db = Build(position_index);
+    std::vector<uint32_t> remap;
+    db.EraseAtoms(dead, &remap);
+    Database rebuilt;
+    rebuilt.set_position_index_enabled(position_index);
+    std::vector<uint8_t> is_dead(atoms.size(), 0);
+    for (uint32_t d : dead) is_dead[d] = 1;
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      if (!is_dead[i]) rebuilt.Insert(atoms[i]);
+    }
+    ExpectSame(db, rebuilt, position_index);
+    if (dead.empty()) {
+      EXPECT_TRUE(remap.empty());
+      return;
+    }
+    ASSERT_EQ(remap.size(), atoms.size() - dead.front());
+    for (size_t k = 0; k < remap.size(); ++k) {
+      const Atom& old = atoms[dead.front() + k];
+      if (is_dead[dead.front() + k]) {
+        EXPECT_EQ(remap[k], Database::kErased);
+      } else {
+        ASSERT_LT(remap[k], db.size());
+        EXPECT_EQ(db.atom(remap[k]), old);
+      }
+    }
+  }
+
+  // size, order, Contains, AtomsOf and AtomsAt for every key.
+  void ExpectSame(const Database& got, const Database& want,
+                  bool position_index) const {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.atom(i), want.atom(i)) << "index " << i;
+    }
+    for (const Atom& a : atoms) {
+      EXPECT_EQ(got.Contains(a), want.Contains(a));
+    }
+    for (RelationId rel : rels) {
+      EXPECT_EQ(got.AtomsOf(rel), want.AtomsOf(rel));
+      if (!position_index) continue;
+      for (uint32_t pos = 0; pos < 2; ++pos) {
+        for (Term c : consts) {
+          EXPECT_EQ(got.AtomsAt(rel, pos, c), want.AtomsAt(rel, pos, c));
+        }
+      }
+    }
+  }
+};
+
+TEST(DatabaseEraseTest, MatchesRebuildAcrossShapes) {
+  EraseFixture f;
+  const uint32_t n = static_cast<uint32_t>(f.atoms.size());
+  ASSERT_GT(n, 1024u);  // Three segments.
+  std::vector<uint32_t> all(n);
+  for (uint32_t i = 0; i < n; ++i) all[i] = i;
+  std::vector<uint32_t> every_seventh;
+  for (uint32_t i = 3; i < n; i += 7) every_seventh.push_back(i);
+  const std::vector<std::vector<uint32_t>> cases = {
+      {},                               // None.
+      all,                              // All.
+      {0},                              // First.
+      {n - 1},                          // Last.
+      {510, 511, 512, 513, 1023, 1024},  // Across segment boundaries.
+      {600, 1100, n - 1},
+      every_seventh,
+  };
+  for (const auto& dead : cases) {
+    SCOPED_TRACE("erasing " + std::to_string(dead.size()) + " atoms");
+    f.Check(dead);
+  }
+}
+
+TEST(DatabaseEraseTest, MatchesRebuildWithoutPositionIndex) {
+  EraseFixture f;
+  f.Check({0, 5, 511, 512, 900}, /*position_index=*/false);
+}
+
+TEST(DatabaseEraseTest, ErasingEveryAtomOfAKeyDropsItsPostings) {
+  EraseFixture f;
+  Database db = f.Build(true);
+  std::vector<uint32_t> dead;
+  for (uint32_t i = 0; i < f.atoms.size(); ++i) {
+    if (f.atoms[i].pred == f.rels[1]) dead.push_back(i);
+  }
+  std::vector<uint32_t> remap;
+  db.EraseAtoms(dead, &remap);
+  EXPECT_TRUE(db.AtomsOf(f.rels[1]).empty());
+  EXPECT_TRUE(db.AtomsAt(f.rels[1], 0, f.consts[0]).empty());
+  EXPECT_FALSE(db.AtomsOf(f.rels[0]).empty());
+}
+
+TEST(DatabaseEraseTest, ErasedAtomCanBeReinserted) {
+  EraseFixture f;
+  Database db = f.Build(true);
+  std::vector<uint32_t> remap;
+  db.EraseAtoms({7, 700}, &remap);
+  EXPECT_FALSE(db.Contains(f.atoms[7]));
+  EXPECT_TRUE(db.Insert(f.atoms[7]));  // Appended, not resurrected in place.
+  EXPECT_FALSE(db.Insert(f.atoms[7]));
+  EXPECT_EQ(db.atom(db.size() - 1), f.atoms[7]);
+
+  Database rebuilt;
+  for (size_t i = 0; i < f.atoms.size(); ++i) {
+    if (i != 7 && i != 700) rebuilt.Insert(f.atoms[i]);
+  }
+  rebuilt.Insert(f.atoms[7]);
+  f.ExpectSame(db, rebuilt, true);
+}
+
+TEST(DatabaseEraseTest, CopyAndMoveAfterErase) {
+  EraseFixture f;
+  Database db = f.Build(true);
+  std::vector<uint32_t> remap;
+  db.EraseAtoms({1, 513, 1030}, &remap);
+  Database copy(db);
+  f.ExpectSame(copy, db, true);
+  Database assigned;
+  assigned = db;
+  f.ExpectSame(assigned, db, true);
+  Database moved(std::move(copy));
+  f.ExpectSame(moved, db, true);
+  // The copy is independent: erasing from it leaves the original alone.
+  assigned.EraseAtoms({0}, &remap);
+  EXPECT_EQ(assigned.size() + 1, db.size());
+  EXPECT_TRUE(db.Contains(f.atoms[0]));
+}
+
 }  // namespace
 }  // namespace gerel

@@ -371,6 +371,20 @@ TEST(SocketServerTest, HappyPathQuery) {
   EXPECT_EQ(resp.value().Get("seq")->as_int(), 0);
 }
 
+// Shutdown right after Start races the workers' first wait: a worker
+// that has checked its wait predicate but not yet blocked must still
+// see the stop flag. Without a delay between the two calls a lost
+// wake-up hangs the join, which the ctest TIMEOUT turns into a failure.
+TEST(SocketServerTest, ImmediateShutdownAfterStartNeverHangs) {
+  Backend backend;
+  for (int i = 0; i < 200; ++i) {
+    SocketServer server(&backend.dispatcher, ServerOptions());
+    Status started = server.Start();
+    ASSERT_TRUE(started.ok()) << started.message();
+    server.Shutdown();
+  }
+}
+
 TEST(SocketServerTest, EchoesCorrelationId) {
   LiveServer live;
   live.StartWithDefaultKbs();

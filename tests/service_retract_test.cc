@@ -125,6 +125,121 @@ TEST(ServiceRetractTest, RetractedFactSurvivesWhenStillEntailed) {
   EXPECT_EQ(got.value().answers.size(), 1u);
 }
 
+// --- In-place retraction: order, fixpoint, and log size ---
+
+// The model as an ordered list of printed atoms.
+std::vector<std::string> ModelList(const PreparedKb& kb, SymbolTable* syms) {
+  std::vector<std::string> out;
+  for (const Atom& a : kb.ModelAtoms()) out.push_back(ToString(a, *syms));
+  return out;
+}
+
+// The model and the t-answers of a fresh Prepare over `kb`'s current EDB.
+void ExpectMatchesFreshPrepare(const PreparedKb& kb, const Theory& t,
+                               SymbolTable* syms) {
+  Database edb;
+  for (const Atom& a : kb.EdbAtoms()) edb.Insert(a);
+  auto fresh = MustPrepare(t, edb, syms);
+  EXPECT_EQ(ModelSet(kb, syms), ModelSet(*fresh, syms));
+  Rule cq = MustParseRule("t(U, V) -> q(U, V)", syms);
+  Result<PreparedQueryResult> got = kb.Query(cq);
+  Result<PreparedQueryResult> want = fresh->Query(cq);
+  ASSERT_TRUE(got.ok() && want.ok());
+  EXPECT_EQ(got.value().answers, want.value().answers);
+}
+
+TEST(ServiceRetractTest, DredKeepsSurvivorOrderThenAppendsRederived) {
+  // t(a, b) is an EDB fact that e(a, b) also derives, so retracting it
+  // overdeletes it and its consequences, and rederivation restores them.
+  SymbolTable syms;
+  Theory t = MustParseTheory(kDatalogTc, &syms);
+  Database db = ParseDatabase("e(z, a). e(a, b). t(a, b). e(b, c).", &syms)
+                    .value();
+  auto kb = MustPrepare(t, db, &syms);
+  std::vector<std::string> before = ModelList(*kb, &syms);
+
+  Result<RetractResult> r =
+      kb->Retract(ParseDatabase("t(a, b).", &syms).value().AtomsVector());
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  ASSERT_TRUE(r.value().delta);
+  const size_t rederived = r.value().rederived_atoms;
+  EXPECT_GE(rederived, 1u);
+  std::vector<std::string> after = ModelList(*kb, &syms);
+  ASSERT_GE(after.size(), rederived);
+  std::vector<std::string> survivors(after.begin(), after.end() - rederived);
+  std::set<std::string> kept(survivors.begin(), survivors.end());
+  std::set<std::string> restored(after.end() - rederived, after.end());
+  // Survivors: the old order minus the deleted atoms (no vanished terms,
+  // so the seeds are just the retracted fact).
+  std::vector<std::string> expected;
+  for (const std::string& a : before) {
+    if (kept.count(a)) expected.push_back(a);
+  }
+  EXPECT_EQ(survivors, expected);
+  EXPECT_EQ(before.size() - survivors.size(),
+            r.value().removed_atoms + r.value().overdeleted_atoms);
+  // Rederived atoms: deleted from the old model, appended at the end.
+  for (const std::string& a : restored) {
+    EXPECT_EQ(kept.count(a), 0u) << a;
+    EXPECT_EQ(std::count(before.begin(), before.end(), a), 1) << a;
+  }
+  ExpectMatchesFreshPrepare(*kb, t, &syms);
+}
+
+TEST(ServiceRetractTest, RepeatedPairsMatchFreshPrepareAndKeepLogCompact) {
+  SymbolTable syms;
+  Theory t = MustParseTheory(kDatalogTc, &syms);
+  std::string text = "t(a3, a5). e(a0, a2). ";
+  for (int i = 0; i < 10; ++i) {
+    text += "e(a" + std::to_string(i) + ", a" + std::to_string(i + 1) + "). ";
+  }
+  Database db = ParseDatabase(text, &syms).value();
+  auto kb = MustPrepare(t, db, &syms);
+  const size_t pool_at_prepare = kb->support_pool_size();
+  ASSERT_GT(pool_at_prepare, 0u);
+  const std::vector<Atom> alternate =
+      ParseDatabase("t(a3, a5).", &syms).value().AtomsVector();
+  RelationId e = syms.Relation("e", 2);
+
+  for (int i = 0; i < 200; ++i) {
+    SCOPED_TRACE("pair " + std::to_string(i));
+    std::vector<Atom> facts;
+    switch (i % 4) {
+      case 0:  // The EDB's index-0 fact: the longest suffix to compact.
+        facts = {kb->EdbAtoms().front()};
+        break;
+      case 1:  // A fact that rule e(a3,a4), t(a4,a5) also derives.
+        facts = alternate;
+        break;
+      case 2:  // An edge between existing nodes (shortcuts the chain).
+        facts = {Atom(e, {syms.Constant("a" + std::to_string(i % 9)),
+                          syms.Constant("a" + std::to_string(i % 7 + 3))})};
+        break;
+      default:  // An edge into a fresh node: its acdom atom vanishes.
+        facts = {Atom(e, {syms.Constant("a" + std::to_string(i % 11)),
+                          syms.Constant("x" + std::to_string(i))})};
+        break;
+    }
+    const std::vector<Atom> edb = kb->EdbAtoms();
+    bool asserted_first =
+        i % 4 >= 2 && std::count(edb.begin(), edb.end(), facts[0]) == 0;
+    if (asserted_first) ASSERT_TRUE(kb->Assert(facts).ok());
+    Result<RetractResult> r = kb->Retract(facts);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    EXPECT_TRUE(r.value().delta);
+    ExpectMatchesFreshPrepare(*kb, t, &syms);
+    if (!asserted_first) ASSERT_TRUE(kb->Assert(facts).ok());
+    ExpectMatchesFreshPrepare(*kb, t, &syms);
+  }
+  EXPECT_EQ(kb->stats().retracts_rematerialized, 0u);
+  // Every pair restored the prepared fixpoint; the log holds one support
+  // per derived atom (each rule here has at most two body atoms), never
+  // the garbage of erased suffixes.
+  EXPECT_EQ(ModelSet(*kb, &syms).size(), kb->ModelAtoms().size());
+  EXPECT_LE(kb->support_pool_size(), 2 * kb->ModelAtoms().size());
+  EXPECT_LE(kb->support_pool_size(), 2 * pool_at_prepare);
+}
+
 // --- Non-EDB retract: clean no-op error ---
 
 TEST(ServiceRetractTest, UnknownAndDerivedFactsAreCleanErrors) {
