@@ -1,9 +1,7 @@
 #include "chase/chase.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -11,16 +9,15 @@
 #include "core/check.h"
 #include "core/homomorphism.h"
 #include "core/join_plan.h"
-#include "core/parallel.h"
 #include "core/substitution.h"
 
 namespace gerel {
 
 namespace {
 
-// Delta atoms per enumeration unit. Fixed (not derived from the thread
-// count) so unit boundaries — and therefore any per-unit truncation —
-// are identical for every num_threads.
+// Delta atoms per enumeration unit. Unit boundaries decide where a
+// step-capped run truncates (the emission cap is per unit), so they are
+// fixed rather than tuned.
 constexpr size_t kDeltaChunk = 1024;
 
 // A fired-trigger key: rule index plus the key variables' images, packed.
@@ -58,25 +55,19 @@ struct PreparedRule {
   std::vector<JoinPlan> plans;
 };
 
-// The piece-parallel chase engine. Each round is two phases:
+// The chase engine. Each round is two phases:
 //
 //  1. Enumeration — the round's triggers are enumerated against the
-//     *immutable* snapshot [0, delta_end) of the database. The work is
-//     split into units (rule, pinned body position, delta chunk); units
-//     run on the worker pool, each recording the universal-variable
-//     images of its matches into a private buffer. Nothing is inserted
-//     and no fresh nulls are minted, so workers share the database and
-//     symbol table read-only.
+//     snapshot [0, delta_end) of the database. The work is split into
+//     units (rule, pinned body position, delta chunk); each unit records
+//     the universal-variable images of its matches into its own buffer.
+//     Nothing is inserted and no fresh nulls are minted, so every
+//     trigger of the round sees the same database.
 //
-//  2. Merge — single-threaded, in deterministic unit order (which is
-//     independent of the thread count): dedup against the fired-trigger
-//     set, the restricted/depth checks, fresh-null creation, and head
-//     insertion. Postings for the round's new atoms are then built (in
-//     parallel, shard-per-lane) before the next round reads them.
-//
-// Because the merge consumes an identical trigger stream for every
-// num_threads, the result — atom order, null names, derivation, step
-// count — is byte-identical to the sequential run.
+//  2. Merge — in unit order: dedup against the fired-trigger set, the
+//     restricted/depth checks, fresh-null creation, and head insertion.
+//     Postings for the round's new atoms are then built before the next
+//     round reads them.
 class ChaseEngine {
  public:
   ChaseEngine(const Theory& theory, const Database& input,
@@ -103,10 +94,6 @@ class ChaseEngine {
       }
       rules_.push_back(std::move(p));
     }
-    if (options_.num_threads > 1) {
-      pool_ = std::make_unique<WorkerPool>(options_.num_threads);
-    }
-    lanes_.resize(pool_ ? pool_->num_threads() : 1);
     result_.database = input;
     if (options.populate_acdom) {
       PopulateAcdom(theory, symbols, &result_.database);
@@ -120,8 +107,8 @@ class ChaseEngine {
     while (true) {
       ++round;
       // Round-boundary budget check: deterministic for a given fault
-      // plan / atom ceiling, so forced exhaustion truncates every
-      // thread-count's run at the same round.
+      // plan / atom ceiling, so forced exhaustion always truncates the
+      // run at the same round.
       if (options_.budget != nullptr &&
           !options_.budget->CheckRound(GovernedStage::kChase, round,
                                        result_.database.size())) {
@@ -134,7 +121,7 @@ class ChaseEngine {
       bool limited = MergeRound(first_round);
       // Build postings for the atoms this round's merge appended; the
       // next round's enumeration (and any post-run AtomsOf) reads them.
-      result_.database.IndexNewAtoms(pool_.get());
+      result_.database.IndexNewAtoms();
       first_round = false;
       if (limited) {
         result_.saturated = false;
@@ -199,25 +186,20 @@ class ChaseEngine {
   void Enumerate() {
     // Per-unit emission cap: with a step bound, no unit can contribute
     // more firings than the bound allows, so runaway joins stop early.
-    // The cap is per *unit* (whose boundaries are thread-count
-    // independent), keeping truncation deterministic.
     size_t cap = options_.max_steps != 0
                      ? options_.max_steps + 1
                      : std::numeric_limits<size_t>::max();
     ExecutionBudget* budget = options_.budget;
-    const FaultPlan* fault = budget != nullptr ? budget->fault_plan() : nullptr;
-    auto run_unit = [&](size_t ui, size_t lane) {
-      // Workers observe the shared cancel/exhaustion flag between units,
-      // so a tripped budget stops all lanes promptly; the deterministic
+    const Database& db = result_.database;
+    for (size_t ui = 0; ui < units_.size(); ++ui) {
+      // A tripped budget leaves the remaining units unrecorded; the
       // merge then replays only what was recorded.
       if (budget != nullptr && budget->ExhaustedFast()) {
-        truncated_units_.store(true, std::memory_order_relaxed);
+        truncated_units_ = true;
         return;
       }
-      MaybeInjectWorkerDelay(fault, ui);
       const Unit& u = units_[ui];
       const PreparedRule& rule = rules_[u.ri];
-      const Database& db = result_.database;
       std::vector<TriggerRec>& out = unit_triggers_[ui];
       bool stopped = false;
       auto fire = [&](const JoinExecutor& e) {
@@ -236,30 +218,17 @@ class ChaseEngine {
       for (size_t ai = u.begin; ai < u.end && out.size() < cap && !stopped;
            ++ai) {
         if (db.atom(ai).pred != pred) continue;
-        lanes_[lane].ExecuteSeeded(rule.plans[u.j], db, db.atom(ai), fire,
-                                   /*db_grows=*/false);
+        exec_.ExecuteSeeded(rule.plans[u.j], db, db.atom(ai), fire,
+                            /*db_grows=*/false);
       }
-      if (out.size() >= cap || stopped)
-        truncated_units_.store(true, std::memory_order_relaxed);
-    };
-    if (pool_) {
-      pool_->RunIndexed(units_.size(), run_unit);
-    } else {
-      for (size_t ui = 0; ui < units_.size(); ++ui) run_unit(ui, 0);
+      if (out.size() >= cap || stopped) truncated_units_ = true;
     }
   }
 
-  // Replays the round's trigger stream in deterministic order. Returns
-  // true iff a limit stopped the merge (or truncated enumeration made
-  // the stream incomplete). Pending batched head atoms are always
-  // flushed before returning, so callers observe the true database size.
+  // Replays the round's trigger stream in unit order. Returns true iff a
+  // limit stopped the merge (or truncated enumeration made the stream
+  // incomplete).
   bool MergeRound(bool first_round) {
-    bool limited = ReplayRound(first_round);
-    FlushPending();
-    return limited;
-  }
-
-  bool ReplayRound(bool first_round) {
     size_t ui = 0;
     for (uint32_t ri = 0; ri < rules_.size(); ++ri) {
       const PreparedRule& rule = rules_[ri];
@@ -279,7 +248,7 @@ class ChaseEngine {
     }
     // A truncated unit means some of the round's triggers were never
     // recorded; the result is a bounded prefix, not a fixpoint.
-    return LimitReached() || truncated_units_.load(std::memory_order_relaxed);
+    return LimitReached() || truncated_units_;
   }
 
   bool LimitReached() {
@@ -288,19 +257,12 @@ class ChaseEngine {
       return true;
     }
     if (options_.max_atoms != 0 &&
-        result_.database.size() + pending_atoms_.size() >=
-            options_.max_atoms) {
-      // The pending buffer over-approximates growth (it may hold
-      // duplicates), so flush it and re-test against the exact size —
-      // the stop decision ends up identical to per-trigger inserts.
-      FlushPending();
-      if (result_.database.size() >= options_.max_atoms) {
-        cap_limit_ = BudgetLimit::kAtoms;
-        return true;
-      }
+        result_.database.size() >= options_.max_atoms) {
+      cap_limit_ = BudgetLimit::kAtoms;
+      return true;
     }
-    // Amortized deadline/cancel check while the single-threaded merge
-    // replays a (possibly huge) trigger stream.
+    // Amortized deadline/cancel check while the merge replays a
+    // (possibly huge) trigger stream.
     if (options_.budget != nullptr &&
         !options_.budget->CheckPoint(GovernedStage::kChase))
       return true;
@@ -366,18 +328,11 @@ class ChaseEngine {
       Atom derived = full.Apply(ha);
       // The restricted chase reads the database (HasHomomorphism) while
       // merging, so its postings must stay current; the oblivious merge
-      // defers them to the round boundary — and, with merge_batch_min
-      // set, buffers the whole round's candidates so dedup and appends
-      // can run as one (possibly parallel) batch at the flush.
-      if (options_.restricted) {
-        if (result_.database.Insert(derived)) {
-          result_.derivation.push_back(
-              ChaseStep{ri, std::move(derived), frontier_image});
-        }
-      } else if (options_.merge_batch_min != 0) {
-        pending_atoms_.push_back(std::move(derived));
-        pending_meta_.push_back(PendingMeta{ri, frontier_image});
-      } else if (result_.database.InsertDeferIndex(derived)) {
+      // defers them to the round boundary.
+      bool added = options_.restricted
+                       ? result_.database.Insert(derived)
+                       : result_.database.InsertDeferIndex(derived);
+      if (added) {
         result_.derivation.push_back(
             ChaseStep{ri, std::move(derived), frontier_image});
       }
@@ -385,52 +340,20 @@ class ChaseEngine {
     return true;
   }
 
-  // Drains the buffered head-atom candidates through the batch insert
-  // (parallel once the buffer reaches merge_batch_min) and appends the
-  // derivation records of the atoms that were new, in candidate order —
-  // exactly the records the per-trigger path would have produced.
-  void FlushPending() {
-    if (pending_atoms_.empty()) return;
-    WorkerPool* pool =
-        pending_atoms_.size() >= options_.merge_batch_min ? pool_.get()
-                                                          : nullptr;
-    result_.database.InsertBatchDeferIndex(pending_atoms_, pool,
-                                           &pending_new_);
-    for (size_t i = 0; i < pending_atoms_.size(); ++i) {
-      if (pending_new_[i]) {
-        result_.derivation.push_back(ChaseStep{pending_meta_[i].ri,
-                                               std::move(pending_atoms_[i]),
-                                               std::move(pending_meta_[i].frontier)});
-      }
-    }
-    pending_atoms_.clear();
-    pending_meta_.clear();
-  }
-
   SymbolTable* symbols_;
   ChaseOptions options_;
   std::vector<PreparedRule> rules_;
-  std::unique_ptr<WorkerPool> pool_;  // Null when num_threads <= 1.
-  std::vector<JoinExecutor> lanes_;   // One executor per pool lane.
+  JoinExecutor exec_;
   std::vector<Unit> units_;
   std::vector<std::vector<TriggerRec>> unit_triggers_;
   ChaseResult result_;
-  // Round-local head-atom candidates awaiting the batched flush
-  // (oblivious merge with merge_batch_min != 0 only).
-  struct PendingMeta {
-    uint32_t ri = 0;
-    std::vector<Term> frontier;
-  };
-  std::vector<Atom> pending_atoms_;
-  std::vector<PendingMeta> pending_meta_;
-  std::vector<uint8_t> pending_new_;
   std::unordered_set<TriggerKey, TriggerKeyHash> fired_;
   std::unordered_map<uint32_t, uint32_t> null_depth_;
   bool skipped_depth_limited_ = false;
   // Which engine-local cap (steps/atoms) tripped, for the degradation
   // record; kNone when only the budget or a truncated unit stopped us.
   BudgetLimit cap_limit_ = BudgetLimit::kNone;
-  std::atomic<bool> truncated_units_{false};
+  bool truncated_units_ = false;
 };
 
 }  // namespace

@@ -27,10 +27,6 @@ void WorkerPool::Drain(size_t lane) {
   }
 }
 
-void WorkerPool::Run(size_t num_tasks, const std::function<void(size_t)>& fn) {
-  RunIndexed(num_tasks, [&fn](size_t task, size_t) { fn(task); });
-}
-
 void WorkerPool::RunIndexed(size_t num_tasks,
                             const std::function<void(size_t, size_t)>& fn) {
   if (num_tasks == 0) return;

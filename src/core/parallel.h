@@ -1,11 +1,10 @@
 // A small persistent worker pool for intra-round parallelism.
 //
-// Round-based fixpoint engines (semi-naive Datalog, the piece-parallel
-// chase, parallel saturation) share a natural barrier per round: every
-// task matches against the same immutable snapshot, and derived results
-// only become visible at the round boundary. The pool runs one task per
-// unit of work; the caller's thread participates, so a pool built for
-// `num_threads` spawns num_threads - 1 workers.
+// Saturation (transform/saturation.h) has a natural barrier per round:
+// every task derives against the same immutable snapshot of the closure,
+// and derived rules only become visible at the round boundary. The pool
+// runs one task per unit of work; the caller's thread participates, so a
+// pool built for `num_threads` spawns num_threads - 1 workers.
 #ifndef GEREL_CORE_PARALLEL_H_
 #define GEREL_CORE_PARALLEL_H_
 
@@ -22,21 +21,20 @@ namespace gerel {
 class WorkerPool {
  public:
   // A pool of `num_threads` total lanes (including the calling thread);
-  // values <= 1 spawn no workers and Run degenerates to a serial loop.
+  // values <= 1 spawn no workers and RunIndexed degenerates to a serial
+  // loop.
   explicit WorkerPool(size_t num_threads);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  // Runs fn(i) for every i in [0, num_tasks), distributed over the pool
-  // plus the calling thread; returns when all calls finished. `fn` must
-  // be safe to invoke concurrently for distinct i. Not reentrant.
-  void Run(size_t num_tasks, const std::function<void(size_t)>& fn);
-
-  // Like Run, but fn also receives the executing lane index in
-  // [0, num_threads()); the calling thread is lane 0. Each lane runs at
-  // most one task at a time, so per-lane scratch needs no locking.
+  // Runs fn(i, lane) for every i in [0, num_tasks), distributed over the
+  // pool plus the calling thread; returns when all calls finished. `fn`
+  // must be safe to invoke concurrently for distinct i. `lane` is the
+  // executing lane in [0, num_threads()); the calling thread is lane 0.
+  // Each lane runs at most one task at a time, so per-lane scratch needs
+  // no locking. Not reentrant.
   void RunIndexed(size_t num_tasks,
                   const std::function<void(size_t, size_t)>& fn);
 

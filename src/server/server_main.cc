@@ -5,6 +5,9 @@
 //                [--max-rules=N] [--timeout-ms=N] [--max-atoms=N]
 //                [--max-tenants=N]
 //
+// --threads sets the saturation lanes of every Prepare; the chase and
+// Datalog evaluation are single-lane.
+//
 // Speaks JSON lines over TCP: one request object per line, one response
 // line per request. Tenants named with --kb are prepared (or warm-
 // started from --snapshot-dir) before the listener opens; clients can
@@ -80,9 +83,8 @@ int main(int argc, char** argv) {
       server_options.num_workers = static_cast<size_t>(v);
     } else if (const char* p = take_value("--threads=")) {
       if (!ParseSizeFlag(p, &v) || v == 0) return Usage();
-      config.kb_options.datalog.num_threads = static_cast<int>(v);
       config.kb_options.pipeline.saturation.num_threads =
-          static_cast<int>(v);
+          static_cast<size_t>(v);
     } else if (const char* p = take_value("--snapshot-dir=")) {
       config.snapshot_dir = p;
     } else if (const char* p = take_value("--max-rules=")) {

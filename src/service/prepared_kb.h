@@ -82,8 +82,7 @@ struct PreparedKbOptions {
   // Caps for the rewrite/grounding/saturation stages (shared with the
   // one-shot pipeline).
   KbQueryOptions pipeline;
-  // Evaluation options; num_threads > 1 parallelizes the materialization
-  // and delta rounds over the prepared worker pool.
+  // Evaluation options for materialization and delta rounds.
   DatalogOptions datalog;
   // Maximum number of cached query answer sets; 0 disables the cache.
   size_t answer_cache_capacity = 1024;

@@ -18,6 +18,7 @@
 #include "service/prepared_kb.h"
 #include "testing/shrink.h"
 #include "transform/pipeline.h"
+#include "transform/saturation.h"
 
 namespace gerel::testing {
 
@@ -225,35 +226,6 @@ CaseVerdict CheckCase(const GeneratedCase& c, SymbolTable* symbols,
                 DescribeFactDiff(facts_expect, facts_chase));
   }
 
-  // Lane: piece-parallel chase determinism. The chase at 2 and 4 worker
-  // lanes must be byte-identical to the sequential run — same atoms in
-  // the same order, same labeled-null names, same step count. Each run
-  // gets its own copy of the symbol table so fresh-null interning cannot
-  // leak between runs and mask (or fake) a divergence.
-  {
-    SymbolTable seq_syms = *symbols;
-    ChaseOptions seq_opts = chase_opts;
-    seq_opts.num_threads = 1;
-    ChaseResult seq = Chase(c.theory, c.database, &seq_syms, seq_opts);
-    std::string seq_text = ToString(seq.database, seq_syms);
-    for (size_t threads : {size_t{2}, size_t{4}}) {
-      SymbolTable par_syms = *symbols;
-      ChaseOptions par_opts = chase_opts;
-      par_opts.num_threads = threads;
-      ChaseResult par = Chase(c.theory, c.database, &par_syms, par_opts);
-      if (par.saturated != seq.saturated || par.steps != seq.steps ||
-          ToString(par.database, par_syms) != seq_text) {
-        return fail("chase-parallel-determinism",
-                    "chase with num_threads=" + std::to_string(threads) +
-                        " diverged from the sequential run (" +
-                        std::to_string(par.database.size()) + " vs " +
-                        std::to_string(seq.database.size()) + " atoms, " +
-                        std::to_string(par.steps) + " vs " +
-                        std::to_string(seq.steps) + " steps)");
-      }
-    }
-  }
-
   // Lane: oracle vs. chase CQ answers.
   bool sat = false;
   AnswerSet chase_ans =
@@ -383,7 +355,7 @@ CaseVerdict CheckCase(const GeneratedCase& c, SymbolTable* symbols,
     }
   }
 
-  // Lanes: PreparedKb — fresh, cached, N threads, incremental assert.
+  // Lanes: PreparedKb — fresh, cached, incremental assert.
   if (cls.weakly_frontier_guarded) {
     PreparedKbOptions po;
     po.pipeline = pipeline_opts;
@@ -415,22 +387,6 @@ CaseVerdict CheckCase(const GeneratedCase& c, SymbolTable* symbols,
         if (q2.ok() && q2.value().answers != fresh_answers) {
           return fail("prepared-cache",
                       DescribeAnswerDiff(fresh_answers, q2.value().answers,
-                                         *symbols));
-        }
-      }
-    }
-
-    // Parallel lane: N-thread materialization answers the same.
-    if (have_fresh && options.num_threads > 1) {
-      PreparedKbOptions pn = po;
-      pn.datalog.num_threads = options.num_threads;
-      Result<std::unique_ptr<PreparedKb>> kbn =
-          PreparedKb::Prepare(c.theory, c.database, symbols, pn);
-      if (kbn.ok()) {
-        Result<PreparedQueryResult> qn = kbn.value()->Query(c.query);
-        if (qn.ok() && qn.value().answers != fresh_answers) {
-          return fail("prepared-threads",
-                      DescribeAnswerDiff(fresh_answers, qn.value().answers,
                                          *symbols));
         }
       }
@@ -492,34 +448,24 @@ CaseVerdict CheckCase(const GeneratedCase& c, SymbolTable* symbols,
     }
   }
 
-  // Lanes: naive vs. semi-naive vs. parallel Datalog (Datalog theories:
-  // the least model is the chase, so the oracle facts are ground truth).
+  // Lanes: naive vs. semi-naive Datalog (Datalog theories: the least
+  // model is the chase, so the oracle facts are ground truth).
   bool is_datalog = true;
   for (const Rule& r : c.theory.rules()) {
     if (!r.IsDatalog()) is_datalog = false;
   }
   if (is_datalog) {
-    struct EngineConfig {
-      const char* lane;
-      bool seminaive;
-      int threads;
-    };
-    const EngineConfig configs[] = {
-        {"datalog-naive", false, 1},
-        {"datalog-seminaive", true, 1},
-        {"datalog-parallel", true, options.num_threads},
-    };
-    for (const EngineConfig& cfg : configs) {
+    for (bool seminaive : {false, true}) {
       DatalogOptions dopt;
-      dopt.seminaive = cfg.seminaive;
-      dopt.num_threads = cfg.threads;
+      dopt.seminaive = seminaive;
       Result<DatalogResult> r =
           EvaluateDatalog(c.theory, c.database, symbols, dopt);
       if (!r.ok()) continue;
       std::set<std::string> facts =
           GroundFactSet(r.value().database, c.theory, *symbols);
       if (facts != facts_expect) {
-        return fail(cfg.lane, DescribeFactDiff(facts_expect, facts));
+        return fail(seminaive ? "datalog-seminaive" : "datalog-naive",
+                    DescribeFactDiff(facts_expect, facts));
       }
     }
   }
@@ -548,85 +494,129 @@ CaseVerdict CheckFaultRecoveryCase(const GeneratedCase& c,
   chase_opts.max_steps = options.oracle.max_steps * 20;
   chase_opts.max_atoms = options.oracle.max_atoms * 20;
 
-  // Clean sequential chase: the reference for every faulted run.
-  SymbolTable clean_syms = *symbols;
-  ChaseResult clean = Chase(c.theory, c.database, &clean_syms, chase_opts);
-  std::string clean_text = ToString(clean.database, clean_syms);
-  std::set<std::string> clean_facts =
-      GroundFactSet(clean.database, c.theory, clean_syms);
-
   // Lane: forced budget exhaustion at a seeded round. The trip happens
-  // in CheckRound on the coordinating thread at a round boundary, so the
-  // truncated chase must be byte-identical for any worker-lane count and
-  // a prefix of the clean run (facts ⊆ clean facts).
+  // in CheckRound at a round boundary, so the truncated chase is a
+  // prefix of the clean run (facts ⊆ clean facts) with a kFault reason.
   {
+    SymbolTable clean_syms = *symbols;
+    ChaseResult clean = Chase(c.theory, c.database, &clean_syms, chase_opts);
+    std::set<std::string> clean_facts =
+        GroundFactSet(clean.database, c.theory, clean_syms);
     FaultPlan plan;
     plan.exhaust_stage = GovernedStage::kChase;
     plan.exhaust_round = 1 + c.seed % 3;
-    std::string first_text;
-    size_t first_steps = 0;
-    bool first_saturated = false;
-    bool have_first = false;
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      SymbolTable fsyms = *symbols;
-      ExecutionBudget budget(BudgetLimits{}, &plan);
-      ChaseOptions fopts = chase_opts;
-      fopts.num_threads = threads;
-      fopts.budget = &budget;
-      ChaseResult faulted = Chase(c.theory, c.database, &fsyms, fopts);
-      if (!faulted.saturated) {
-        if (!faulted.degradation.degraded()) {
-          return fail("fault-chase-reason",
-                      "budget-exhausted chase reported no DegradationReason");
-        }
-        if (faulted.degradation.limit != BudgetLimit::kFault) {
-          return fail("fault-chase-reason",
-                      "expected a kFault degradation, got " +
-                          faulted.degradation.ToString());
-        }
+    SymbolTable fsyms = *symbols;
+    ExecutionBudget budget(BudgetLimits{}, &plan);
+    ChaseOptions fopts = chase_opts;
+    fopts.budget = &budget;
+    ChaseResult faulted = Chase(c.theory, c.database, &fsyms, fopts);
+    if (!faulted.saturated) {
+      if (!faulted.degradation.degraded()) {
+        return fail("fault-chase-reason",
+                    "budget-exhausted chase reported no DegradationReason");
       }
-      std::set<std::string> faulted_facts =
-          GroundFactSet(faulted.database, c.theory, fsyms);
-      if (!std::includes(clean_facts.begin(), clean_facts.end(),
-                         faulted_facts.begin(), faulted_facts.end())) {
-        return fail("fault-chase-unsound",
-                    "budget-exhausted chase derived facts outside the "
-                    "clean chase");
+      if (faulted.degradation.limit != BudgetLimit::kFault) {
+        return fail("fault-chase-reason",
+                    "expected a kFault degradation, got " +
+                        faulted.degradation.ToString());
       }
-      std::string text = ToString(faulted.database, fsyms);
-      if (!have_first) {
-        have_first = true;
-        first_text = text;
-        first_steps = faulted.steps;
-        first_saturated = faulted.saturated;
-      } else if (text != first_text || faulted.steps != first_steps ||
-                 faulted.saturated != first_saturated) {
-        return fail("fault-chase-determinism",
-                    "budget-exhausted chase diverged at num_threads=" +
-                        std::to_string(threads));
-      }
+    }
+    std::set<std::string> faulted_facts =
+        GroundFactSet(faulted.database, c.theory, fsyms);
+    if (!std::includes(clean_facts.begin(), clean_facts.end(),
+                       faulted_facts.begin(), faulted_facts.end())) {
+      return fail("fault-chase-unsound",
+                  "budget-exhausted chase derived facts outside the "
+                  "clean chase");
     }
   }
 
-  // Lane: worker-delay injection must never change a single byte. The
-  // delay is 0µs (= thread yield): timed sleeps cost ~1ms of timer
-  // granularity per call on small hosts, while a yield perturbs lane
-  // interleaving nearly for free.
-  {
+  // Saturation is the one engine with worker lanes; its lanes run over
+  // the guarded rules of the case (any guarded theory is a valid input).
+  Theory guarded;
+  for (const Rule& r : c.theory.rules()) {
+    if (IsGuardedRule(r)) guarded.AddRule(r);
+  }
+  SaturationOptions sat_opts;
+  sat_opts.max_rules = 400;
+  sat_opts.max_body_atoms = 6;
+  SymbolTable sat_syms = *symbols;
+  Result<SaturationResult> sat_clean = Saturate(guarded, &sat_syms, sat_opts);
+  if (sat_clean.ok()) {
+    std::vector<std::string> clean_rules;
+    for (const Rule& r : sat_clean.value().closure.rules()) {
+      clean_rules.push_back(ToString(r, sat_syms));
+    }
+    // Saturates on a private copy of the symbol table (so interning
+    // cannot leak between runs), stores the result in *out and returns
+    // the rendered closure rules.
+    auto run_saturation = [&](const SaturationOptions& opts,
+                              SaturationResult* out) {
+      SymbolTable syms = *symbols;
+      Result<SaturationResult> r = Saturate(guarded, &syms, opts);
+      std::vector<std::string> rules;
+      for (const Rule& rule : r.value().closure.rules()) {
+        rules.push_back(ToString(rule, syms));
+      }
+      *out = std::move(r).value();
+      return rules;
+    };
+
+    // Lane: forced budget exhaustion at a seeded round. The trip happens
+    // in CheckRound on the coordinating thread at a round boundary, so
+    // the truncated closure must be byte-identical for any worker-lane
+    // count and a prefix of the clean closure.
     FaultPlan plan;
-    plan.worker_delay_us = 0;
-    plan.worker_delay_every = 7;
-    ExecutionBudget budget(BudgetLimits{}, &plan);
-    SymbolTable dsyms = *symbols;
-    ChaseOptions dopts = chase_opts;
+    plan.exhaust_stage = GovernedStage::kSaturation;
+    plan.exhaust_round = 1 + c.seed % 3;
+    std::vector<std::string> first_rules;
+    size_t first_inferences = 0;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      ExecutionBudget budget(BudgetLimits{}, &plan);
+      SaturationOptions fopts = sat_opts;
+      fopts.num_threads = threads;
+      fopts.budget = &budget;
+      SaturationResult faulted;
+      std::vector<std::string> rules = run_saturation(fopts, &faulted);
+      if (!faulted.complete && !faulted.degradation.degraded()) {
+        return fail("fault-saturation-reason",
+                    "budget-exhausted saturation reported no "
+                    "DegradationReason");
+      }
+      if (rules.size() > clean_rules.size() ||
+          !std::equal(rules.begin(), rules.end(), clean_rules.begin())) {
+        return fail("fault-saturation-unsound",
+                    "budget-exhausted closure is not a prefix of the "
+                    "clean closure");
+      }
+      if (threads == 1) {
+        first_rules = std::move(rules);
+        first_inferences = faulted.inferences;
+      } else if (rules != first_rules ||
+                 faulted.inferences != first_inferences) {
+        return fail("fault-saturation-determinism",
+                    "budget-exhausted saturation diverged at "
+                    "num_threads=" + std::to_string(threads));
+      }
+    }
+
+    // Lane: worker-delay injection must never change a single byte. The
+    // delay is 0µs (= thread yield): timed sleeps cost ~1ms of timer
+    // granularity per call on small hosts, while a yield perturbs lane
+    // interleaving nearly for free.
+    FaultPlan delay;
+    delay.worker_delay_us = 0;
+    delay.worker_delay_every = 7;
+    ExecutionBudget budget(BudgetLimits{}, &delay);
+    SaturationOptions dopts = sat_opts;
     dopts.num_threads = 2;
     dopts.budget = &budget;
-    ChaseResult delayed = Chase(c.theory, c.database, &dsyms, dopts);
-    if (delayed.saturated != clean.saturated ||
-        delayed.steps != clean.steps ||
-        ToString(delayed.database, dsyms) != clean_text) {
+    SaturationResult delayed;
+    if (run_saturation(dopts, &delayed) != clean_rules ||
+        delayed.inferences != sat_clean.value().inferences ||
+        delayed.complete != sat_clean.value().complete) {
       return fail("fault-worker-delay",
-                  "worker-delay injection changed the chase result");
+                  "worker-delay injection changed the saturation result");
     }
   }
 
@@ -650,7 +640,8 @@ CaseVerdict CheckFaultRecoveryCase(const GeneratedCase& c,
 
   // Lane: forced exhaustion during materialization. Answers must stay
   // sound (⊆ clean), carry complete=false plus a populated reason, and
-  // agree across thread counts (round-boundary trips are deterministic).
+  // agree across saturation lane counts (round-boundary trips are
+  // deterministic).
   {
     FaultPlan plan;
     plan.exhaust_stage = GovernedStage::kDatalog;
@@ -660,7 +651,7 @@ CaseVerdict CheckFaultRecoveryCase(const GeneratedCase& c,
     bool have_first = false;
     for (int threads : {1, options.num_threads}) {
       PreparedKbOptions pf = po;
-      pf.datalog.num_threads = threads;
+      pf.pipeline.saturation.num_threads = static_cast<size_t>(threads);
       Result<std::unique_ptr<PreparedKb>> kbf =
           PreparedKb::Prepare(c.theory, c.database, symbols, pf);
       if (!kbf.ok()) {
@@ -817,7 +808,8 @@ CaseVerdict CheckCrudCase(const GeneratedCase& c, SymbolTable* symbols,
   pipeline_opts.grounding.max_rules = 2000;
   PreparedKbOptions po;
   po.pipeline = pipeline_opts;
-  po.datalog.num_threads = options.num_threads;
+  po.pipeline.saturation.num_threads =
+      static_cast<size_t>(options.num_threads);
 
   bool is_datalog = true;
   for (const Rule& r : c.theory.rules()) {

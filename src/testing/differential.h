@@ -6,8 +6,8 @@
 //   lanes    oracle vs. production chase (ground facts and CQ answers),
 //            the §7 pipeline (dat(pg(rew(Σ), D))), the nearly
 //            frontier-guarded route (Prop 4 + Prop 6), PreparedKb
-//            (fresh, incremental assert, answer cache, N threads), and
-//            naive vs. semi-naive vs. parallel Datalog;
+//            (fresh, incremental assert, answer cache), and naive vs.
+//            semi-naive Datalog;
 //   invariants
 //            fact-order permutation, bijective constant renaming, rule
 //            duplication, and assert-order independence.
@@ -54,8 +54,8 @@ bool ParseFault(std::string_view tag, Fault* out);
 struct DiffOptions {
   GenOptions gen;
   OracleOptions oracle;
-  // Thread count for the parallel lanes (PreparedKb materialization and
-  // the parallel Datalog engine). Does not affect verdicts.
+  // Saturation lanes for the PreparedKb prepares of the crud and
+  // fault-recovery lanes. Does not affect verdicts.
   int num_threads = 2;
   Fault fault = Fault::kNone;
   // Shrink failing cases before reporting.
@@ -118,12 +118,16 @@ DiffReport RunDifferential(unsigned seed, size_t iters,
 // seeded case, asserts that resource-governed execution degrades
 // cleanly instead of crashing, hanging, or lying:
 //   - a chase forced to exhaust its budget (seeded FaultPlan) yields a
-//     subset of the clean chase's facts, reports a populated
+//     subset of the clean chase's facts and reports a kFault
+//     DegradationReason;
+//   - a saturation of the case's guarded rules forced to exhaust its
+//     budget yields a prefix of the clean closure, reports a populated
 //     DegradationReason, and is byte-identical across 1/2/4 worker
 //     lanes (budget trips happen at deterministic round boundaries);
-//   - worker-delay injection never changes any result byte;
+//   - worker-delay injection never changes a saturation result byte;
 //   - a PreparedKb forced to exhaust during materialization serves
-//     sound answers (⊆ clean) with complete=false across thread counts;
+//     sound answers (⊆ clean) with complete=false across saturation
+//     lane counts;
 //   - a clean snapshot save/load round-trips to identical answers, and
 //     seeded truncation/bit-flip corruption is always detected at load,
 //     with recovery-by-re-Prepare matching the clean run.

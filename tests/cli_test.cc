@@ -6,6 +6,8 @@
 
 #include <array>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #ifndef GEREL_CLI_PATH
@@ -499,6 +501,45 @@ TEST(CliTest, TimedOutAnswersAreByteIdenticalAcrossThreads) {
       EXPECT_EQ(r.output, base) << "diverged at --threads=" << threads;
     }
   }
+}
+
+TEST(CliTest, ServeSnapshotIsByteIdenticalAcrossThreads) {
+  // --threads sets saturation lanes only, so it must not change the
+  // materialized model or its snapshot bytes. A Datalog-mode program
+  // that needs many rounds: the transitive closure of a 300-edge chain
+  // whose edges are listed last-to-first.
+  std::string program = "/tmp/gerel_cli_threads_" + std::to_string(getpid());
+  std::string text = "e(X, Y) -> t(X, Y).\ne(X, Y), t(Y, Z) -> t(X, Z).\n";
+  for (int i = 299; i >= 0; --i) {
+    text += "e(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
+            ").\n";
+  }
+  FILE* f = fopen((program + ".gerel").c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs(text.c_str(), f);
+  fclose(f);
+  std::string base;
+  for (const char* threads : {"1", "4"}) {
+    std::string snap = program + "." + threads + ".snap";
+    CommandResult r = RunCliWithInput(
+        "save " + snap + "\nquit\n",
+        "serve " + program + ".gerel --threads=" + threads);
+    EXPECT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("mode=datalog"), std::string::npos) << r.output;
+    std::ifstream in(snap, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    std::remove(snap.c_str());
+    ASSERT_FALSE(bytes.empty()) << "no snapshot written at --threads="
+                                << threads;
+    if (base.empty()) {
+      base = bytes;
+    } else {
+      EXPECT_TRUE(bytes == base) << "snapshot bytes differ at --threads="
+                                 << threads;
+    }
+  }
+  std::remove((program + ".gerel").c_str());
 }
 
 TEST(CliTest, ChaseDegradesOnTimeoutWithExit2) {

@@ -113,14 +113,16 @@ TEST(ServiceConcurrencyTest, ParallelEvaluationInsidePreparedKb) {
   for (int i = 0; i < 60; ++i) {
     db.Insert(Atom(e, {nodes[i], nodes[i + 1]}));
   }
+  // --threads=4 as the CLI and server set it: saturation gets 4 lanes,
+  // the Datalog materialization stays single-lane.
   PreparedKbOptions options;
-  options.datalog.num_threads = 4;
+  options.pipeline.saturation.num_threads = 4;
   auto kb = PreparedKb::Prepare(theory, db, &syms, options);
   ASSERT_TRUE(kb.ok()) << kb.status().message();
   Rule cq = ParseRule("t(U, V) -> q(U, V)", &syms).value();
   EXPECT_EQ(kb.value()->Query(cq).value().answers.size(),
             60u * 61u / 2u);
-  // Incremental extension reuses the same worker pool.
+  // Incremental extension on the same KB.
   Term extra = nodes[0];
   ASSERT_TRUE(
       kb.value()->Assert({Atom(e, {nodes[60], extra})}).ok());

@@ -26,8 +26,9 @@
 //   --max-steps=N --max-atoms=N --max-depth=N
 // Translation/serving options:
 //   --max-rules=N (cap the rewrite/grounding/saturation stages)
-//   --threads=N   (worker lanes for the chase, saturation, and Datalog
-//                  evaluation; results are byte-identical for any value)
+//   --threads=N   (worker lanes for saturation; the chase and Datalog
+//                  evaluation are single-lane; results are byte-identical
+//                  for any value)
 //
 // Resource governance (chase/answer/serve):
 //   --timeout-ms=N (wall-clock budget; exhaustion degrades to sound
@@ -96,8 +97,7 @@ struct ParsedArgs {
   std::string route = "datalog";
   ChaseOptions chase;
   size_t max_rules = 0;  // 0 = library defaults.
-  // Worker lanes for chase/tree/translate/answer/serve (chase
-  // enumeration, saturation frontier, Datalog evaluation).
+  // Saturation worker lanes for translate/answer/serve.
   size_t threads = 1;
   // Resource budget (0 = unlimited). --max-atoms doubles as the chase
   // cap (existing semantics) and the budget atom ceiling.
@@ -422,7 +422,6 @@ int Answer(const ParsedArgs& args) {
                                          : rew.value().degradation;
     }
     DatalogOptions dopts;
-    dopts.num_threads = args.threads;
     dopts.budget = budget_ptr;
     auto eval = EvaluateDatalog(dat.value().datalog,
                                 program.value().database, &syms, dopts);
@@ -504,7 +503,6 @@ int Serve(const ParsedArgs& args) {
     options.pipeline.saturation.max_rules = args.max_rules;
     options.pipeline.grounding.max_rules = args.max_rules;
   }
-  options.datalog.num_threads = args.threads;
   options.pipeline.saturation.num_threads = args.threads;
   options.budget = CliBudget(args);
   SymbolTable syms;
@@ -751,7 +749,6 @@ int main(int argc, char** argv) {
       args.max_rules = static_cast<size_t>(value);
     } else if (ParseFlag(argv[i], "--threads", &value)) {
       args.threads = static_cast<size_t>(value);
-      args.chase.num_threads = args.threads;
     } else if (std::strncmp(argv[i], "--route=", 8) == 0) {
       args.route = argv[i] + 8;
     } else {
