@@ -1,8 +1,7 @@
 // Experiment E12: ablations of the design choices called out in
 // DESIGN.md: (i) semi-naive vs naive Datalog evaluation, (ii) idempotent
 // vs exhaustive selection enumeration in the expansion, (iii) subsuming
-// vs exhaustive guard generation, (iv) indexed vs scan matching in the
-// chase.
+// vs exhaustive guard generation.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -12,7 +11,6 @@
 #include "core/normalize.h"
 #include "core/parser.h"
 #include "datalog/evaluator.h"
-#include "datalog/magic.h"
 #include "transform/fg_to_ng.h"
 
 namespace {
@@ -87,65 +85,6 @@ void BM_GuardGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_GuardGeneration)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_MagicSetsVsFullEvaluation(benchmark::State& state) {
-  // Goal-directed evaluation of the translated program: the query binds
-  // the source node, and only a small part of the graph is relevant.
-  bool magic = state.range(0) == 0;
-  SymbolTable syms;
-  Theory t = MustTheory(
-      "e(X, Y) -> tc(X, Y).\ne(X, Y), tc(Y, Z) -> tc(X, Z).", &syms);
-  // Star of 24 chains; the query touches only one.
-  Database db;
-  RelationId e = syms.Relation("e", 2);
-  for (int chain = 0; chain < 24; ++chain) {
-    for (int i = 0; i + 1 < 16; ++i) {
-      db.Insert(Atom(e, {syms.Constant("c" + std::to_string(chain) + "_" +
-                                       std::to_string(i)),
-                         syms.Constant("c" + std::to_string(chain) + "_" +
-                                       std::to_string(i + 1))}));
-    }
-  }
-  Atom query = ParseAtom("tc(c0_0, Z)", &syms).value();
-  for (auto _ : state) {
-    SymbolTable fresh = syms;
-    if (magic) {
-      auto r = MagicAnswers(t, db, query, &fresh);
-      if (!r.ok()) {
-        state.SkipWithError(r.status().message().c_str());
-        return;
-      }
-      benchmark::DoNotOptimize(r.value().size());
-    } else {
-      auto r = DatalogAnswers(t, db, fresh.Relation("tc"), &fresh);
-      benchmark::DoNotOptimize(r.value().size());
-    }
-  }
-  state.SetLabel(magic ? "magic-sets" : "full-evaluation");
-}
-BENCHMARK(BM_MagicSetsVsFullEvaluation)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ChaseIndexing(benchmark::State& state) {
-  bool indexed = state.range(0) == 0;
-  SymbolTable syms;
-  Theory t = MustTheory(kRunningExample, &syms);
-  for (auto _ : state) {
-    state.PauseTiming();
-    SymbolTable fresh = syms;
-    Database source = PublicationDatabase(64, &fresh);
-    Database db;
-    db.set_position_index_enabled(indexed);
-    for (const Atom& a : source.atoms()) {
-      db.Insert(a);
-    }
-    state.ResumeTiming();
-    ChaseResult r = Chase(t, db, &fresh);
-    benchmark::DoNotOptimize(r.database.size());
-  }
-  state.SetLabel(indexed ? "position-indexed" : "relation-scan");
-}
-BENCHMARK(BM_ChaseIndexing)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The ablation equivalence check: restricted and exhaustive expansions
 // derive the same answers (the restrictions drop only subsumed rules).

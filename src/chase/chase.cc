@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "core/check.h"
-#include "core/homomorphism.h"
 #include "core/join_plan.h"
 #include "core/substitution.h"
 
@@ -65,9 +64,10 @@ struct PreparedRule {
 //     trigger of the round sees the same database.
 //
 //  2. Merge — in unit order: dedup against the fired-trigger set, the
-//     restricted/depth checks, fresh-null creation, and head insertion.
-//     Postings for the round's new atoms are then built before the next
-//     round reads them.
+//     depth check, fresh-null creation, and head insertion. The merge
+//     reads no postings, so it defers them; they are built for the
+//     round's new atoms before the next round (or the caller) reads them,
+//     so Run never returns with postings owed for atoms the merge added.
 class ChaseEngine {
  public:
   ChaseEngine(const Theory& theory, const Database& input,
@@ -290,16 +290,6 @@ class ChaseEngine {
       for (Term t : images) key.data.push_back(t.bits());
     }
     if (!fired_.insert(key).second) return false;
-    Substitution h;
-    for (size_t i = 0; i < rule.uvars.size(); ++i) {
-      h.Bind(rule.uvars[i], images[i]);
-    }
-    if (options_.restricted) {
-      // Restricted chase: skip satisfied triggers. The trigger stays in
-      // the fired set — if it is satisfied now, it stays satisfied (the
-      // database only grows).
-      if (HasHomomorphism(rule.head, result_.database, h)) return false;
-    }
     // Null-depth bound: skip triggers that would create too-deep nulls.
     if (!rule.evars.empty() && options_.max_null_depth != 0) {
       uint32_t depth = 0;
@@ -310,7 +300,10 @@ class ChaseEngine {
         return false;
       }
     }
-    Substitution full = h;
+    Substitution full;
+    for (size_t i = 0; i < rule.uvars.size(); ++i) {
+      full.Bind(rule.uvars[i], images[i]);
+    }
     uint32_t new_depth = 1;
     for (Term t : images) {
       new_depth = std::max(new_depth, TermDepth(t) + 1);
@@ -326,13 +319,7 @@ class ChaseEngine {
     for (uint32_t s : rule.fvar_slots) frontier_image.push_back(images[s]);
     for (const Atom& ha : rule.head) {
       Atom derived = full.Apply(ha);
-      // The restricted chase reads the database (HasHomomorphism) while
-      // merging, so its postings must stay current; the oblivious merge
-      // defers them to the round boundary.
-      bool added = options_.restricted
-                       ? result_.database.Insert(derived)
-                       : result_.database.InsertDeferIndex(derived);
-      if (added) {
+      if (result_.database.InsertDeferIndex(derived)) {
         result_.derivation.push_back(
             ChaseStep{ri, std::move(derived), frontier_image});
       }

@@ -38,13 +38,6 @@ struct ChaseOptions {
   // Populate the acdom built-in from the input database and theory
   // constants before chasing (paper §2, "Further Notions").
   bool populate_acdom = true;
-  // Restricted (a.k.a. standard) chase: a trigger fires only when no
-  // extension of its homomorphism already satisfies the head in the
-  // current database. The paper uses the oblivious chase (the default
-  // here); the restricted variant produces a homomorphically equivalent,
-  // usually smaller result with the same ground consequences, and is
-  // offered for comparison and as a cheaper oracle.
-  bool restricted = false;
   // Semi-oblivious (a.k.a. Skolem) chase: triggers are identified by the
   // rule and the *frontier* bindings only — two homomorphisms that agree
   // on the frontier fire once, mirroring skolemization. Termination

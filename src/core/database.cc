@@ -22,7 +22,6 @@ void Database::CopyFrom(const Database& other) {
   by_relation_ = other.by_relation_;
   by_position_ = other.by_position_;
   indexed_upto_ = other.indexed_upto_;
-  position_index_enabled_ = other.position_index_enabled_;
 }
 
 void Database::MoveFrom(Database* other) {
@@ -32,7 +31,6 @@ void Database::MoveFrom(Database* other) {
   by_relation_ = std::move(other->by_relation_);
   by_position_ = std::move(other->by_position_);
   indexed_upto_ = other->indexed_upto_;
-  position_index_enabled_ = other->position_index_enabled_;
   other->segments_.clear();
   other->size_ = 0;
   other->set_.clear();
@@ -59,14 +57,12 @@ void Database::Append(const Atom& atom) {
 
 void Database::IndexAtom(const Atom& atom, uint32_t index) {
   by_relation_[atom.pred].push_back(index);
-  if (position_index_enabled_) {
-    uint32_t pos = 0;
-    for (Term t : atom.args) {
-      by_position_[PositionKey(atom.pred, pos++, t)].push_back(index);
-    }
-    for (Term t : atom.annotation) {
-      by_position_[PositionKey(atom.pred, pos++, t)].push_back(index);
-    }
+  uint32_t pos = 0;
+  for (Term t : atom.args) {
+    by_position_[PositionKey(atom.pred, pos++, t)].push_back(index);
+  }
+  for (Term t : atom.annotation) {
+    by_position_[PositionKey(atom.pred, pos++, t)].push_back(index);
   }
 }
 
@@ -79,14 +75,12 @@ void Database::TruncatePostings(const Atom& atom, uint32_t first) {
     if (list.empty()) index.erase(it);
   };
   cut(by_relation_, atom.pred);
-  if (position_index_enabled_) {
-    uint32_t pos = 0;
-    for (Term t : atom.args) {
-      cut(by_position_, PositionKey(atom.pred, pos++, t));
-    }
-    for (Term t : atom.annotation) {
-      cut(by_position_, PositionKey(atom.pred, pos++, t));
-    }
+  uint32_t pos = 0;
+  for (Term t : atom.args) {
+    cut(by_position_, PositionKey(atom.pred, pos++, t));
+  }
+  for (Term t : atom.annotation) {
+    cut(by_position_, PositionKey(atom.pred, pos++, t));
   }
 }
 
@@ -175,15 +169,9 @@ const std::vector<uint32_t>& Database::AtomsOf(RelationId pred) const {
 
 const std::vector<uint32_t>& Database::AtomsAt(RelationId pred, uint32_t pos,
                                                Term term) const {
-  GEREL_CHECK(position_index_enabled_);
   GEREL_CHECK(indexed_upto_ == size());  // IndexNewAtoms owed first.
   auto it = by_position_.find(PositionKey(pred, pos, term));
   return it == by_position_.end() ? kEmptyPostings : it->second;
-}
-
-void Database::set_position_index_enabled(bool enabled) {
-  GEREL_CHECK(empty());  // Must be configured before inserts.
-  position_index_enabled_ = enabled;
 }
 
 std::vector<Term> Database::ActiveTerms(RelationId except) const {

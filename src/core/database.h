@@ -134,9 +134,6 @@ class Database {
   // (argument positions first, then annotation positions).
   const std::vector<uint32_t>& AtomsAt(RelationId pred, uint32_t pos,
                                        Term term) const;
-  // Whether the (relation, position, term) index is maintained.
-  void set_position_index_enabled(bool enabled);
-  bool position_index_enabled() const { return position_index_enabled_; }
 
   // Distinct ground terms occurring in atoms (constants and nulls), in
   // first-occurrence order. Excludes atoms of `except` (pass the acdom
@@ -205,7 +202,6 @@ class Database {
   // Atoms [0, indexed_upto_) have postings; InsertDeferIndex leaves the
   // tail unindexed until IndexNewAtoms.
   size_t indexed_upto_ = 0;
-  bool position_index_enabled_ = true;
 };
 
 // The name of the built-in active-constant-domain relation (paper §2,

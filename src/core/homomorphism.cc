@@ -52,8 +52,8 @@ bool ForEachHomomorphism(const std::vector<Atom>& pattern, const Database& db,
   JoinExecutor exec;
   exec.Reset(plan);
   SeedExecutor(pre_bound, initial, &exec);
-  // Visitors may insert into the database mid-enumeration (chase and
-  // Datalog rule firing), so candidate lists are snapshotted per level.
+  // Visitors may insert into the database mid-enumeration, so candidate
+  // lists are snapshotted per level.
   return exec.Execute(plan, db, SubstitutionVisitor(initial, visitor),
                       /*db_grows=*/true);
 }
@@ -73,19 +73,6 @@ bool HasHomomorphism(const std::vector<Atom>& pattern, const Database& db,
                },
                /*db_grows=*/false);
   return found;
-}
-
-bool ForEachEmbedding(const std::vector<Atom>& pattern,
-                      const std::vector<Atom>& target,
-                      const Substitution& initial,
-                      const HomomorphismVisitor& visitor) {
-  std::vector<Term> pre_bound = PreBoundVars(pattern, initial);
-  JoinPlan plan(pattern, pre_bound);
-  JoinExecutor exec;
-  exec.Reset(plan);
-  SeedExecutor(pre_bound, initial, &exec);
-  return exec.ExecuteOnAtoms(plan, target,
-                             SubstitutionVisitor(initial, visitor));
 }
 
 bool DatabaseMapsInto(const Database& a, const Database& b) {

@@ -1,7 +1,8 @@
-// Homomorphism enumeration: mapping atom conjunctions into databases
-// (chase triggers, Datalog rule evaluation) or into small atom sets
-// (the saturation calculus of §6, which matches rule bodies into rule
-// heads).
+// Homomorphism enumeration over a Database through a JoinPlan compiled
+// per call. The engines compile their own plans once and drive
+// JoinExecutor directly; these entry points are the model checkers that
+// tests use (does a chase result satisfy every rule, are two chase
+// results homomorphically equivalent).
 #ifndef GEREL_CORE_HOMOMORPHISM_H_
 #define GEREL_CORE_HOMOMORPHISM_H_
 
@@ -28,14 +29,6 @@ bool ForEachHomomorphism(const std::vector<Atom>& pattern, const Database& db,
 // Convenience: does any homomorphism exist?
 bool HasHomomorphism(const std::vector<Atom>& pattern, const Database& db,
                      const Substitution& initial = Substitution());
-
-// Enumerates homomorphisms h extending `initial` with h(pattern) ⊆ target,
-// where `target` is a plain atom set (its variables act as constants:
-// pattern variables may map onto them, but they are never remapped).
-bool ForEachEmbedding(const std::vector<Atom>& pattern,
-                      const std::vector<Atom>& target,
-                      const Substitution& initial,
-                      const HomomorphismVisitor& visitor);
 
 // Whether there is a homomorphism from the atoms of `a` into the atoms of
 // `b` (used for homomorphic-equivalence checks of chase results).

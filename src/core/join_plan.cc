@@ -6,10 +6,6 @@
 
 namespace gerel {
 
-namespace {
-
-}  // namespace
-
 uint32_t JoinPlan::SlotFor(Term var) {
   for (const auto& [bits, slot] : slot_of_) {
     if (bits == var.bits()) return slot;
@@ -237,20 +233,17 @@ bool JoinExecutor::RecurseDb(const JoinPlan& plan, const Database& db,
   // or the shortest per-(relation, position, term) postings among the
   // positions whose value is known here.
   const std::vector<uint32_t>* postings = &db.AtomsOf(level.pred);
-  if (db.position_index_enabled()) {
-    for (const PositionSpec& spec : level.specs) {
-      Term v;
-      if (spec.kind == PositionSpec::kTerm) {
-        v = spec.term;
-      } else if (bound_[spec.slot]) {
-        v = bindings_[spec.slot];
-      } else {
-        continue;
-      }
-      if (v.IsVariable()) continue;  // Rigid-variable image: no index.
-      const std::vector<uint32_t>& cand = db.AtomsAt(level.pred, spec.pos, v);
-      if (cand.size() < postings->size()) postings = &cand;
+  for (const PositionSpec& spec : level.specs) {
+    Term v;
+    if (spec.kind == PositionSpec::kTerm) {
+      v = spec.term;
+    } else if (bound_[spec.slot]) {
+      v = bindings_[spec.slot];
+    } else {
+      continue;
     }
+    const std::vector<uint32_t>& cand = db.AtomsAt(level.pred, spec.pos, v);
+    if (cand.size() < postings->size()) postings = &cand;
   }
   size_t mark = trail_.size();
   if (db_grows) {
@@ -280,22 +273,6 @@ bool JoinExecutor::RecurseDb(const JoinPlan& plan, const Database& db,
   return true;
 }
 
-bool JoinExecutor::RecurseAtoms(const JoinPlan& plan,
-                                const std::vector<Atom>& target, size_t depth,
-                                const Visitor& visitor) {
-  if (depth == plan.num_levels()) return visitor(*this);
-  const PlanLevel& level = plan.levels()[depth];
-  size_t mark = trail_.size();
-  for (const Atom& candidate : target) {
-    if (MatchCandidate(level, candidate, mark)) {
-      bool keep_going = RecurseAtoms(plan, target, depth + 1, visitor);
-      UnwindTo(mark);
-      if (!keep_going) return false;
-    }
-  }
-  return true;
-}
-
 bool JoinExecutor::Execute(const JoinPlan& plan, const Database& db,
                            const Visitor& visitor, bool db_grows) {
   GEREL_CHECK(plan_ == &plan);  // Reset(plan) first (then seed via Bind).
@@ -310,14 +287,6 @@ bool JoinExecutor::ExecuteSeeded(const JoinPlan& plan, const Database& db,
   if (!MatchCandidate(plan.levels()[0], seed, 0)) return true;
   matched_[0] = seed_index;
   return RecurseDb(plan, db, 1, visitor, db_grows);
-}
-
-bool JoinExecutor::ExecuteOnAtoms(const JoinPlan& plan,
-                                  const std::vector<Atom>& target,
-                                  const Visitor& visitor) {
-  GEREL_CHECK(plan_ == &plan);
-  trail_.clear();
-  return RecurseAtoms(plan, target, 0, visitor);
 }
 
 }  // namespace gerel

@@ -77,8 +77,7 @@ class JoinPlan {
     Recompile(pattern, pre_bound, pinned_first);
   }
 
-  // Recompiles in place, reusing internal buffers (hot callers like the
-  // saturation calculus compile a fresh tiny pattern per subset split).
+  // Recompiles in place, reusing internal buffers.
   void Recompile(const std::vector<Atom>& pattern,
                  const std::vector<Term>& pre_bound = {},
                  int pinned_first = -1);
@@ -99,7 +98,7 @@ class JoinPlan {
   std::vector<PlanLevel> levels_;
   // var bits -> slot. Patterns are small (rule bodies, subset splits), so
   // a flat array with linear lookup beats a hash map's per-node
-  // allocations; plans compiled per call (ForEachEmbedding) stay cheap.
+  // allocations; plans compiled per call (ForEachHomomorphism) stay cheap.
   std::vector<std::pair<uint32_t, uint32_t>> slot_of_;
   std::vector<Term> var_of_slot_;
   // Compilation scratch, kept to make Recompile allocation-free in
@@ -110,9 +109,9 @@ class JoinPlan {
   std::vector<uint32_t> order_scratch_;
 };
 
-// Runs a plan against a Database or a plain atom vector. Holds the slot
-// binding array, the undo trail, and per-level scratch buffers; reusable
-// across executions (and across plans of the same or different shapes).
+// Runs a plan against a Database. Holds the slot binding array, the undo
+// trail, and per-level scratch buffers; reusable across executions (and
+// across plans of the same or different shapes).
 class JoinExecutor {
  public:
   // Visitor invoked per complete match; the executor's accessors are
@@ -139,12 +138,6 @@ class JoinExecutor {
                      const Atom& seed, const Visitor& visitor, bool db_grows,
                      uint32_t seed_index = 0);
 
-  // Enumerates embeddings into a plain atom set (read-only). Target
-  // variables are rigid: pattern variables may bind onto them, but they
-  // are never remapped.
-  bool ExecuteOnAtoms(const JoinPlan& plan, const std::vector<Atom>& target,
-                      const Visitor& visitor);
-
   // Clears all bindings (sizing the executor for `plan`), then allows
   // seeding pre-bound slots with Bind().
   void Reset(const JoinPlan& plan);
@@ -162,8 +155,8 @@ class JoinExecutor {
   void AppendBindings(Substitution* out) const;
   // Database indices of the candidate atoms matched at each plan level,
   // in level order (one per level). Valid during the visitor of Execute
-  // and ExecuteSeeded against a Database; ExecuteOnAtoms does not
-  // maintain it. The support log of a retractable fixpoint reads this.
+  // and ExecuteSeeded. The support log of a retractable fixpoint reads
+  // this.
   const std::vector<uint32_t>& MatchedAtomIndices() const { return matched_; }
 
  private:
@@ -172,8 +165,6 @@ class JoinExecutor {
   void UnwindTo(size_t trail_mark);
   bool RecurseDb(const JoinPlan& plan, const Database& db, size_t depth,
                  const Visitor& visitor, bool db_grows);
-  bool RecurseAtoms(const JoinPlan& plan, const std::vector<Atom>& target,
-                    size_t depth, const Visitor& visitor);
 
   const JoinPlan* plan_ = nullptr;  // Set during Execute*.
   std::vector<Term> bindings_;

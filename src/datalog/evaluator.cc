@@ -16,12 +16,11 @@ Result<DatalogResult> EvaluateDatalog(const Theory& theory,
   if (!program.ok()) return program.status();
   DatalogResult result;
   result.database = input;
-  Result<EvalPassStats> pass = program.value().Materialize(&result.database);
-  if (!pass.ok()) return pass.status();
-  result.rounds = pass.value().rounds;
-  result.derived_atoms = pass.value().derived_atoms;
-  result.complete = pass.value().complete;
-  result.degradation = pass.value().degradation;
+  EvalPassStats pass = program.value().Materialize(&result.database);
+  result.rounds = pass.rounds;
+  result.derived_atoms = pass.derived_atoms;
+  result.complete = pass.complete;
+  result.degradation = pass.degradation;
   result.rule_stats = program.value().rule_stats();
   return result;
 }

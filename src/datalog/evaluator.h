@@ -2,8 +2,8 @@
 //
 // This is the substrate the paper's translations target (§6): after
 // rewriting a guarded/nearly guarded theory into Datalog, query answering
-// reduces to one fixpoint computation here. Supports semi-naive (default)
-// and naive evaluation (ablation E12).
+// reduces to one fixpoint computation here. Evaluation is semi-naive;
+// a naive mode is kept as a reference.
 #ifndef GEREL_DATALOG_EVALUATOR_H_
 #define GEREL_DATALOG_EVALUATOR_H_
 
@@ -21,12 +21,13 @@ namespace gerel {
 
 struct DatalogOptions {
   // Semi-naive evaluation restricts each round to triggers touching the
-  // previous round's delta; naive evaluation re-derives everything.
+  // previous round's delta; naive evaluation re-derives everything. The
+  // naive mode stays as the reference EngineEquivalenceTest compares
+  // stratified-negation models against: the oracle in testing/oracle.h
+  // is negation-free, so it cannot check those.
   bool seminaive = true;
   // Populate the acdom built-in before evaluation.
   bool populate_acdom = true;
-  // Safety valve on fixpoint rounds per stratum; 0 = unlimited.
-  size_t max_rounds = 0;
   // Optional execution budget; checked at round boundaries and,
   // amortized, inside rule evaluation. Not owned. Exhaustion stops the
   // pass cleanly with complete = false: the partial fixpoint is sound

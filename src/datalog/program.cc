@@ -152,13 +152,11 @@ struct DatalogProgram::Rep {
   // Runs all strata over *db. For a full pass the first round of each
   // stratum scans the whole database; for an incremental pass every
   // stratum starts semi-naive from [delta_begin, db->size()).
-  Result<EvalPassStats> RunPass(Database* db, bool incremental,
-                                size_t delta_begin);
+  EvalPassStats RunPass(Database* db, bool incremental, size_t delta_begin);
 };
 
-Result<EvalPassStats> DatalogProgram::Rep::RunPass(Database* db,
-                                                   bool incremental,
-                                                   size_t delta_begin) {
+EvalPassStats DatalogProgram::Rep::RunPass(Database* db, bool incremental,
+                                           size_t delta_begin) {
   EvalPassStats pass;
   size_t initial = db->size();
   ExecutionBudget* budget = options.budget;
@@ -193,9 +191,6 @@ Result<EvalPassStats> DatalogProgram::Rep::RunPass(Database* db,
       if (budget != nullptr && budget->exhausted()) pass.complete = false;
       if (!pass.complete || added == 0) break;
       win_begin = delta_end;
-      if (options.max_rounds != 0 && pass.rounds >= options.max_rounds) {
-        return Status::Error("max_rounds exceeded");
-      }
     }
     for (size_t k = 0; k < evaluators.size(); ++k) {
       RuleStats taken = evaluators[k].TakeStats();
@@ -250,7 +245,7 @@ DatalogProgram::DatalogProgram(DatalogProgram&&) noexcept = default;
 DatalogProgram& DatalogProgram::operator=(DatalogProgram&&) noexcept = default;
 DatalogProgram::~DatalogProgram() = default;
 
-Result<EvalPassStats> DatalogProgram::Materialize(Database* db) {
+EvalPassStats DatalogProgram::Materialize(Database* db) {
   // A full pass recomputes the fixpoint from the caller's base atoms;
   // any supports from a previous life of the database are stale.
   if (rep_->options.support_log != nullptr) rep_->options.support_log->Clear();

@@ -53,9 +53,8 @@ class DatalogProgram {
 
   // Evaluates the program over *db in place to its least/perfect model;
   // derived atoms are appended. Populates acdom first when
-  // options.populate_acdom. Not thread-safe (the worker pool is internal
-  // to a pass).
-  Result<EvalPassStats> Materialize(Database* db);
+  // options.populate_acdom. Not thread-safe.
+  EvalPassStats Materialize(Database* db);
 
   // Incrementally extends a fixpoint: *db must be a database previously
   // brought to a fixpoint by this program, with new atoms appended at

@@ -27,7 +27,7 @@ double MsSince(Clock::time_point start) {
 // Index of `a` in `db`, or -1 when absent.
 int64_t IndexOf(const Database& db, const Atom& a) {
   const std::vector<uint32_t>* postings = &db.AtomsOf(a.pred);
-  if (db.position_index_enabled() && !a.args.empty()) {
+  if (!a.args.empty()) {
     const std::vector<uint32_t>& cand = db.AtomsAt(a.pred, 0, a.args[0]);
     if (cand.size() < postings->size()) postings = &cand;
   }
@@ -94,8 +94,7 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::Prepare(
       kb->BuildDependencyIndex();
       transform_ms = MsSince(transform_start);
       materialize_start = Clock::now();
-      Status s = kb->MaterializeModel();
-      if (!s.ok()) return s;
+      kb->MaterializeModel();
       if (kb->materialize_complete_) {
         chase_materialized = true;
       } else {
@@ -138,8 +137,7 @@ Result<std::unique_ptr<PreparedKb>> PreparedKb::Prepare(
     if (!s.ok()) return s;
     transform_ms = MsSince(transform_start);
     materialize_start = Clock::now();
-    s = kb->MaterializeModel();
-    if (!s.ok()) return s;
+    kb->MaterializeModel();
   }
   {
     std::lock_guard<std::mutex> lock(kb->stats_mu_);
@@ -283,7 +281,7 @@ void PreparedKb::EvictCacheForWrite(std::unordered_set<RelationId> written,
   stats_.cache_retained_entries += retained;
 }
 
-Status PreparedKb::MaterializeModel() {
+void PreparedKb::MaterializeModel() {
   if (mode_ == Mode::kChaseMaterialized) {
     // Direct Skolem chase of the source theory over the EDB. The
     // termination certificate bounds the run; the caps and budget only
@@ -306,18 +304,16 @@ Status PreparedKb::MaterializeModel() {
       std::lock_guard<std::mutex> slock(stats_mu_);
       ++stats_.chase_materializations;
     }
-    return Status::Ok();
+    return;
   }
   model_ = edb_;
-  Result<EvalPassStats> pass = program_->Materialize(&model_);
-  if (!pass.ok()) return pass.status();
-  materialize_complete_ = pass.value().complete;
-  materialize_degradation_ = pass.value().degradation;
+  EvalPassStats pass = program_->Materialize(&model_);
+  materialize_complete_ = pass.complete;
+  materialize_degradation_ = pass.degradation;
   // The support log only licenses DRed over a complete negation-free
   // fixpoint: a truncated pass may have skipped derivations whose
   // absence a later overdelete would misread.
-  supports_valid_ = pass.value().complete && !program_->has_negation();
-  return Status::Ok();
+  supports_valid_ = pass.complete && !program_->has_negation();
 }
 
 bool PreparedKb::QueryCannotHaveNullWitnesses(const Rule& cq) const {
@@ -511,8 +507,7 @@ Result<AssertResult> PreparedKb::Assert(const std::vector<Atom>& facts) {
   }
   if (rematerialize) {
     Clock::time_point materialize_start = Clock::now();
-    Status s = MaterializeModel();
-    if (!s.ok()) return s;
+    MaterializeModel();
     materialize_ms = MsSince(materialize_start);
     out.delta = false;
   } else {
@@ -621,15 +616,6 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
     for (RelationId r = 0; r < symbols_->NumRelations(); ++r) {
       const std::vector<uint32_t>& atoms = edb_.AtomsOf(r);
       if (r == acdom_ || atoms.empty()) continue;
-      if (!edb_.position_index_enabled()) {
-        for (uint32_t i : atoms) {
-          std::vector<Term> terms = edb_.atom(i).AllTerms();
-          if (std::find(terms.begin(), terms.end(), t) != terms.end()) {
-            return true;
-          }
-        }
-        continue;
-      }
       for (uint32_t pos = 0; pos < edb_.atom(atoms[0]).arity(); ++pos) {
         if (!edb_.AtomsAt(r, pos, t).empty()) return true;
       }
@@ -692,8 +678,7 @@ Result<RetractResult> PreparedKb::Retract(const std::vector<Atom>& facts) {
       transform_ms = MsSince(transform_start);
     }
     Clock::time_point materialize_start = Clock::now();
-    Status s = MaterializeModel();
-    if (!s.ok()) return s;
+    MaterializeModel();
     materialize_ms = MsSince(materialize_start);
     out.delta = false;
   }

@@ -264,7 +264,7 @@ class PreparedKb {
   // program compilation) from the current EDB. Exclusive lock held.
   Status CompileProgram();
   // Rebuilds the materialized model from the EDB. Exclusive lock held.
-  Status MaterializeModel();
+  void MaterializeModel();
   // Records the compiled program's body→head predicate edges for
   // dependency-aware cache invalidation (also called by LoadSnapshot).
   void BuildDependencyIndex();

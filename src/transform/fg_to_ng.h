@@ -23,11 +23,13 @@ struct ExpansionOptions {
   size_t max_selections_per_rule = 2000000;
   // Restrict to idempotent selections (each range variable maps to
   // itself). These are exactly the representative-choosing selections the
-  // Thm 1 proof uses; disable for the exhaustive Def 7 enumeration
-  // (cross-checked in property tests).
+  // Thm 1 proof uses; disable for the exhaustive Def 7 enumeration.
+  // Both exhaustive switches stay as the paper-letter references: the
+  // E12 equivalence check in bench_ablations compares their answers
+  // with the restricted defaults.
   bool idempotent_selections_only = true;
   // Enumerate every guard-tuple variant of Defs 10/11 instead of only the
-  // subsuming fresh-variable guards (ablation; see rewriting.cc).
+  // subsuming fresh-variable guards (see rewriting.cc).
   bool exhaustive_guards = false;
   // Optional execution budget; checked per worklist item and, amortized,
   // inside the selection enumeration. Not owned. Exhaustion stops the

@@ -12,10 +12,7 @@
 #include "core/classify.h"
 #include "core/parallel.h"
 #include "core/substitution.h"
-#include "core/printer.h"
 #include "transform/canonical.h"
-#include <cstdlib>
-#include <cstdio>
 
 namespace gerel {
 
@@ -444,12 +441,6 @@ class Saturator {
         derived.head.size() > options_.max_head_atoms) {
       out->overflow = true;
       return;
-    }
-    if (getenv("GEREL_SAT_DEBUG") != nullptr) {
-      fprintf(stderr, "compose\n  left: %s\n  right: %s\n  => %s\n",
-              ToString(left, *symbols_).c_str(),
-              ToString(right, *symbols_).c_str(),
-              ToString(derived, *symbols_).c_str());
     }
     Emit(std::move(derived), out);
   }

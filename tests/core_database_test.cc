@@ -108,16 +108,6 @@ TEST(AcdomTest, AcdomAtomsDoNotFeedTheDomain) {
   EXPECT_EQ(d.AtomsOf(acdom).size(), 1u);
 }
 
-TEST(DatabaseTest, DisablingPositionIndex) {
-  Database db;
-  db.set_position_index_enabled(false);
-  SymbolTable syms;
-  RelationId r = syms.Relation("r", 1);
-  db.Insert(Atom(r, {syms.Constant("a")}));
-  EXPECT_EQ(db.AtomsOf(r).size(), 1u);
-  EXPECT_FALSE(db.position_index_enabled());
-}
-
 // Regression: the position-index key used to pack (pred, pos, term) as
 // (pred << 40) ^ (pos << 32) ^ term, so an atom with a term at position
 // >= 256 aliased the postings of relation (pred ^ (pos >> 8)) at
@@ -201,27 +191,25 @@ struct EraseFixture {
     }
   }
 
-  Database Build(bool position_index) const {
+  Database Build() const {
     Database db;
-    db.set_position_index_enabled(position_index);
     for (const Atom& a : atoms) db.Insert(a);
     return db;
   }
 
   // Erases `dead` from a fresh database and checks the result, and the
   // remap, against inserting the survivors in order.
-  void Check(const std::vector<uint32_t>& dead, bool position_index = true) {
-    Database db = Build(position_index);
+  void Check(const std::vector<uint32_t>& dead) {
+    Database db = Build();
     std::vector<uint32_t> remap;
     db.EraseAtoms(dead, &remap);
     Database rebuilt;
-    rebuilt.set_position_index_enabled(position_index);
     std::vector<uint8_t> is_dead(atoms.size(), 0);
     for (uint32_t d : dead) is_dead[d] = 1;
     for (size_t i = 0; i < atoms.size(); ++i) {
       if (!is_dead[i]) rebuilt.Insert(atoms[i]);
     }
-    ExpectSame(db, rebuilt, position_index);
+    ExpectSame(db, rebuilt);
     if (dead.empty()) {
       EXPECT_TRUE(remap.empty());
       return;
@@ -239,8 +227,7 @@ struct EraseFixture {
   }
 
   // size, order, Contains, AtomsOf and AtomsAt for every key.
-  void ExpectSame(const Database& got, const Database& want,
-                  bool position_index) const {
+  void ExpectSame(const Database& got, const Database& want) const {
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got.atom(i), want.atom(i)) << "index " << i;
@@ -250,7 +237,6 @@ struct EraseFixture {
     }
     for (RelationId rel : rels) {
       EXPECT_EQ(got.AtomsOf(rel), want.AtomsOf(rel));
-      if (!position_index) continue;
       for (uint32_t pos = 0; pos < 2; ++pos) {
         for (Term c : consts) {
           EXPECT_EQ(got.AtomsAt(rel, pos, c), want.AtomsAt(rel, pos, c));
@@ -283,14 +269,9 @@ TEST(DatabaseEraseTest, MatchesRebuildAcrossShapes) {
   }
 }
 
-TEST(DatabaseEraseTest, MatchesRebuildWithoutPositionIndex) {
-  EraseFixture f;
-  f.Check({0, 5, 511, 512, 900}, /*position_index=*/false);
-}
-
 TEST(DatabaseEraseTest, ErasingEveryAtomOfAKeyDropsItsPostings) {
   EraseFixture f;
-  Database db = f.Build(true);
+  Database db = f.Build();
   std::vector<uint32_t> dead;
   for (uint32_t i = 0; i < f.atoms.size(); ++i) {
     if (f.atoms[i].pred == f.rels[1]) dead.push_back(i);
@@ -304,7 +285,7 @@ TEST(DatabaseEraseTest, ErasingEveryAtomOfAKeyDropsItsPostings) {
 
 TEST(DatabaseEraseTest, ErasedAtomCanBeReinserted) {
   EraseFixture f;
-  Database db = f.Build(true);
+  Database db = f.Build();
   std::vector<uint32_t> remap;
   db.EraseAtoms({7, 700}, &remap);
   EXPECT_FALSE(db.Contains(f.atoms[7]));
@@ -317,21 +298,21 @@ TEST(DatabaseEraseTest, ErasedAtomCanBeReinserted) {
     if (i != 7 && i != 700) rebuilt.Insert(f.atoms[i]);
   }
   rebuilt.Insert(f.atoms[7]);
-  f.ExpectSame(db, rebuilt, true);
+  f.ExpectSame(db, rebuilt);
 }
 
 TEST(DatabaseEraseTest, CopyAndMoveAfterErase) {
   EraseFixture f;
-  Database db = f.Build(true);
+  Database db = f.Build();
   std::vector<uint32_t> remap;
   db.EraseAtoms({1, 513, 1030}, &remap);
   Database copy(db);
-  f.ExpectSame(copy, db, true);
+  f.ExpectSame(copy, db);
   Database assigned;
   assigned = db;
-  f.ExpectSame(assigned, db, true);
+  f.ExpectSame(assigned, db);
   Database moved(std::move(copy));
-  f.ExpectSame(moved, db, true);
+  f.ExpectSame(moved, db);
   // The copy is independent: erasing from it leaves the original alone.
   assigned.EraseAtoms({0}, &remap);
   EXPECT_EQ(assigned.size() + 1, db.size());

@@ -118,64 +118,6 @@ TEST(HomomorphismTest, AnnotatedAtomsMatchBothParts) {
   EXPECT_EQ(n, 1u);
 }
 
-TEST(EmbeddingTest, MatchesIntoAtomSetWithVariables) {
-  SymbolTable syms;
-  // Target: the head R(x, y) ∧ S(y, y); pattern: S(U, V).
-  std::vector<Atom> target = ParseAtoms("r(X, Y), s(Y, Y)", &syms);
-  std::vector<Atom> pattern = ParseAtoms("s(U, V)", &syms);
-  size_t n = 0;
-  ForEachEmbedding(pattern, target, Substitution(),
-                   [&](const Substitution& h) {
-                     EXPECT_EQ(h.Apply(syms.Variable("U")),
-                               syms.Variable("Y"));
-                     EXPECT_EQ(h.Apply(syms.Variable("V")),
-                               syms.Variable("Y"));
-                     ++n;
-                     return true;
-                   });
-  EXPECT_EQ(n, 1u);
-}
-
-TEST(EmbeddingTest, TargetVariablesAreRigid) {
-  SymbolTable syms;
-  // Pattern s(a, V) cannot match target s(Y, Y): the target variable Y is
-  // not remappable to the constant a.
-  std::vector<Atom> target = ParseAtoms("s(Y, Y)", &syms);
-  std::vector<Atom> pattern = ParseAtoms("s(a, V)", &syms);
-  size_t n = 0;
-  ForEachEmbedding(pattern, target, Substitution(), [&n](const Substitution&) {
-    ++n;
-    return true;
-  });
-  EXPECT_EQ(n, 0u);
-}
-
-TEST(EmbeddingTest, BoundTargetVariablesStayRigid) {
-  SymbolTable syms;
-  // Regression: pattern r(U, U) must NOT match target r(X, Y) by first
-  // binding U→X and then rebinding the *target* variable X→Y.
-  std::vector<Atom> target = ParseAtoms("r(X, Y)", &syms);
-  std::vector<Atom> pattern = ParseAtoms("r(U, U)", &syms);
-  size_t n = 0;
-  ForEachEmbedding(pattern, target, Substitution(), [&n](const Substitution&) {
-    ++n;
-    return true;
-  });
-  EXPECT_EQ(n, 0u);
-}
-
-TEST(EmbeddingTest, RepeatedPatternVarMatchesRepeatedTargetVar) {
-  SymbolTable syms;
-  std::vector<Atom> target = ParseAtoms("r(X, X)", &syms);
-  std::vector<Atom> pattern = ParseAtoms("r(U, U)", &syms);
-  size_t n = 0;
-  ForEachEmbedding(pattern, target, Substitution(), [&n](const Substitution&) {
-    ++n;
-    return true;
-  });
-  EXPECT_EQ(n, 1u);
-}
-
 TEST(DatabaseMappingTest, NullsActAsVariables) {
   SymbolTable syms;
   Database a = ParseDatabase("e(_x, _y).", &syms).value();

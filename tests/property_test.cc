@@ -15,7 +15,6 @@
 #include "core/parser.h"
 #include "core/printer.h"
 #include "datalog/evaluator.h"
-#include "datalog/magic.h"
 #include "stratified/stratified_chase.h"
 #include "testing/random_theories.h"
 #include "transform/canonical.h"
@@ -334,29 +333,6 @@ TEST_P(PropertyTest, PositiveTheoriesAreMonotonic) {
   }
 }
 
-// P12: the restricted chase has the same ground consequences as the
-// oblivious chase and is homomorphically equivalent where both saturate.
-TEST_P(PropertyTest, RestrictedChaseMatchesOblivious) {
-  SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.existential_prob = 0.4;
-  Theory t = gen.Theory_(params);
-  Database db = gen.Database_(6, 3);
-  ChaseOptions opts;
-  opts.max_steps = 20000;
-  opts.max_atoms = 20000;
-  ChaseResult oblivious = Chase(t, db, &syms, opts);
-  ChaseOptions ropts = opts;
-  ropts.restricted = true;
-  SymbolTable syms2 = syms;
-  ChaseResult restricted = Chase(t, db, &syms2, ropts);
-  if (!oblivious.saturated || !restricted.saturated) GTEST_SKIP();
-  EXPECT_EQ(GroundFacts(oblivious.database, t, syms),
-            GroundFacts(restricted.database, t, syms));
-  EXPECT_LE(restricted.database.size(), oblivious.database.size());
-}
-
 // P9: MakeProper round-trips databases.
 TEST_P(PropertyTest, ProperReorderingRoundTrip) {
   SymbolTable syms;
@@ -431,47 +407,6 @@ TEST_P(PropertyTest, AcyclicityImplications) {
         << "jointly acyclic theory with diverging semi-oblivious chase:\n"
         << ToString(t, syms);
   }
-}
-
-// P14: magic sets preserves the query's answers on random positive
-// Datalog programs with a randomly bound query.
-TEST_P(PropertyTest, MagicSetsPreservesAnswers) {
-  SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.existential_prob = 0.0;
-  params.num_rules = 5;
-  Theory t = gen.Theory_(params);
-  Database db = gen.Database_(10, 3);
-  // Query the first IDB relation, binding the first argument to a
-  // random active constant.
-  RelationId idb = 0;
-  size_t arity = 0;
-  for (const Rule& r : t.rules()) {
-    if (!r.head[0].args.empty()) {
-      idb = r.head[0].pred;
-      arity = r.head[0].args.size();
-      break;
-    }
-  }
-  if (arity == 0) GTEST_SKIP() << "no usable IDB relation";
-  std::vector<Term> constants = db.ActiveConstants();
-  if (constants.empty()) GTEST_SKIP();
-  Atom query;
-  query.pred = idb;
-  query.args.push_back(constants[gen.rng()() % constants.size()]);
-  for (size_t i = 1; i < arity; ++i) {
-    query.args.push_back(syms.Variable("Qf" + std::to_string(i)));
-  }
-  auto magic = MagicAnswers(t, db, query, &syms);
-  ASSERT_TRUE(magic.ok()) << magic.status().message();
-  auto full = DatalogAnswers(t, db, idb, &syms);
-  ASSERT_TRUE(full.ok());
-  std::set<std::vector<Term>> expected;
-  for (const auto& tuple : full.value()) {
-    if (tuple[0] == query.args[0]) expected.insert(tuple);
-  }
-  EXPECT_EQ(magic.value(), expected) << ToString(t, syms);
 }
 
 // P-par2: parallel saturation is byte-identical to sequential
