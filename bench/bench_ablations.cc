@@ -1,15 +1,12 @@
 // Experiment E12: ablations of the design choices called out in
 // DESIGN.md: (i) semi-naive vs naive Datalog evaluation, (ii) idempotent
 // vs exhaustive selection enumeration in the expansion, (iii) subsuming
-// vs exhaustive guard generation.
+// vs exhaustive guard generation. That (ii) and (iii) leave the answers
+// unchanged is pinned by ExpansionVariantsTest (transform_fg_test.cc).
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-
 #include "bench/bench_util.h"
-#include "chase/chase.h"
 #include "core/normalize.h"
-#include "core/parser.h"
 #include "datalog/evaluator.h"
 #include "transform/fg_to_ng.h"
 
@@ -86,51 +83,8 @@ void BM_GuardGeneration(benchmark::State& state) {
 BENCHMARK(BM_GuardGeneration)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
-// The ablation equivalence check: restricted and exhaustive expansions
-// derive the same answers (the restrictions drop only subsumed rules).
-void PrintEquivalenceCheck() {
-  std::printf("=== E12: restricted vs exhaustive expansion agree? ===\n");
-  SymbolTable syms;
-  Theory raw = MustTheory(NullCycleTheoryText(3).c_str(), &syms);
-  Theory normal = Normalize(raw, &syms);
-  Database db =
-      ParseDatabase("a(c). r(u, v). r(v, w). r(w, u).", &syms).value();
-  RelationId p = syms.Relation("p");
-  auto oracle = ChaseAnswers(raw, db, p, &syms);
-  struct Config {
-    const char* name;
-    bool idempotent;
-    bool exhaustive;
-  } configs[] = {
-      {"idempotent+subsuming (default)", true, false},
-      {"all-selections+subsuming", false, false},
-      {"idempotent+exhaustive-guards", true, true},
-  };
-  for (const Config& cfg : configs) {
-    SymbolTable s2 = syms;
-    ExpansionOptions opts;
-    opts.idempotent_selections_only = cfg.idempotent;
-    opts.exhaustive_guards = cfg.exhaustive;
-    opts.max_rules = 400000;
-    auto rew = RewriteFgToNearlyGuarded(normal, &s2, opts);
-    if (!rew.ok()) {
-      std::printf("%-34s error\n", cfg.name);
-      continue;
-    }
-    ChaseOptions big;
-    big.max_steps = 20000000;
-    big.max_atoms = 20000000;
-    auto got = ChaseAnswers(rew.value().theory, db, p, &s2, big);
-    std::printf("%-34s rules=%-7zu complete=%d answers %s\n", cfg.name,
-                rew.value().theory.size(), rew.value().complete,
-                got == oracle ? "match" : "MISMATCH");
-  }
-  std::printf("\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintEquivalenceCheck();
   return gerel::bench::RunBenchmarks(argc, argv, "bench_ablations");
 }

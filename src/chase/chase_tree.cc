@@ -131,6 +131,9 @@ size_t ChaseTree::TotalAtoms() const {
 Result<ChaseTree> BuildChaseTree(const Theory& theory, const Database& input,
                                  SymbolTable* symbols,
                                  const ChaseOptions& options) {
+  if (theory.HasNegation()) {
+    return Status::Error("chase tree requires a negation-free theory");
+  }
   if (!IsNormal(theory)) {
     return Status::Error("chase tree requires a normal theory (Def 6)");
   }

@@ -39,8 +39,8 @@ struct ChaseTree {
 
 // Builds a chase tree of `input` w.r.t. the normal frontier-guarded theory
 // `theory`, following the chase derivation order (Def 6 rules C1/C2).
-// Fails if the theory is not normal frontier-guarded or if the bounded
-// chase did not saturate.
+// Fails if the theory has negation or is not normal frontier-guarded, or
+// if the bounded chase did not saturate.
 Result<ChaseTree> BuildChaseTree(const Theory& theory, const Database& input,
                                  SymbolTable* symbols,
                                  const ChaseOptions& options = ChaseOptions());

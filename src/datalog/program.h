@@ -4,7 +4,7 @@
 // EvaluateDatalog (evaluator.h) is a thin wrapper that compiles a program
 // and materializes a single fixpoint. Long-lived callers — the serving
 // layer's PreparedKb in particular — keep the DatalogProgram alive and
-// reuse its compiled join plans and worker pool across many passes: full
+// reuse its compiled join plans across many passes: full
 // materializations and, for negation-free programs, incremental
 // extensions that re-derive only the consequences of newly inserted
 // atoms (semi-naive evaluation seeded with the delta).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "analyze/termination.h"
 #include "core/check.h"
 #include "core/classify.h"
 #include "core/printer.h"
@@ -591,6 +592,16 @@ GeneratedCase CaseGenerator::Next(GenClass cls) {
   out.database = GenerateDatabase();
   ++case_index_;
   return out;
+}
+
+std::optional<GeneratedCase> NextTerminatingCase(CaseGenerator* gen,
+                                                 GenClass cls,
+                                                 const SymbolTable& symbols) {
+  for (int draw = 0; draw < 16; ++draw) {
+    GeneratedCase c = gen->Next(cls);
+    if (AnalyzeTermination(c.theory, symbols).terminating()) return c;
+  }
+  return std::nullopt;
 }
 
 std::string CaseToString(const GeneratedCase& c, const SymbolTable& symbols) {

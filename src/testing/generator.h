@@ -16,6 +16,7 @@
 #ifndef GEREL_TESTING_GENERATOR_H_
 #define GEREL_TESTING_GENERATOR_H_
 
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
@@ -131,6 +132,16 @@ class CaseGenerator {
   std::vector<Term> constants_;
   int case_index_ = 0;
 };
+
+// Draws cases of `cls` from `gen` until one carries a termination
+// certificate (AnalyzeTermination: the Skolem chase of its theory stops
+// on every database) and returns it; std::nullopt when 16 draws in a
+// row are uncertified. The randomized suites chase only such cases, so
+// every seed checks a saturated chase. `symbols` is the generator's
+// table.
+std::optional<GeneratedCase> NextTerminatingCase(CaseGenerator* gen,
+                                                 GenClass cls,
+                                                 const SymbolTable& symbols);
 
 // Renders a case in parser syntax: theory rules and facts as statements,
 // the class/seed header and the query as comments. The rules+facts part

@@ -24,9 +24,9 @@ struct ExpansionOptions {
   // Restrict to idempotent selections (each range variable maps to
   // itself). These are exactly the representative-choosing selections the
   // Thm 1 proof uses; disable for the exhaustive Def 7 enumeration.
-  // Both exhaustive switches stay as the paper-letter references: the
-  // E12 equivalence check in bench_ablations compares their answers
-  // with the restricted defaults.
+  // Both exhaustive switches stay as the paper-letter references:
+  // ExpansionVariantsTest (tests/transform_fg_test.cc) checks that they
+  // give rew(Σ) the answers of the restricted defaults.
   bool idempotent_selections_only = true;
   // Enumerate every guard-tuple variant of Defs 10/11 instead of only the
   // subsuming fresh-variable guards (see rewriting.cc).

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #ifndef GEREL_CLI_PATH
 #define GEREL_CLI_PATH "gerel"
@@ -94,6 +95,38 @@ TEST(CliTest, ChasePrintsFigure2Atoms) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("keywords(p1"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("saturated=1"), std::string::npos) << r.output;
+}
+
+TEST(CliTest, ChaseRejectsNegationWithExit1) {
+  // The chase does not take negation: every command that chases gives a
+  // clean error, never an abort; `chase` and `answer --route=chase` point
+  // at the Datalog route. The normal frontier-guarded program on stdin
+  // would pass the chase tree's class checks.
+  std::vector<CommandResult> runs;
+  std::vector<std::string> commands;
+  for (const char* file : {"stratified_sep.gerel", "diagnostics_demo.gerel"}) {
+    commands.push_back(std::string("chase ") + Data(file));
+    commands.push_back(std::string("answer ") + Data(file) + " t --route=chase");
+  }
+  for (const std::string& command : commands) runs.push_back(RunCli(command));
+  const char kNegation[] = "p(X), not q(X) -> r(X).\np(a).\n";
+  commands.push_back("chase /dev/stdin");
+  runs.push_back(RunCliWithInput(kNegation, commands.back()));
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].exit_code, 1) << commands[i] << "\n" << runs[i].output;
+    EXPECT_NE(runs[i].output.find("gerel: the chase takes negation-free"),
+              std::string::npos)
+        << commands[i] << "\n" << runs[i].output;
+    EXPECT_NE(runs[i].output.find("--route=datalog"), std::string::npos)
+        << commands[i];
+  }
+  for (const char* command : {"tree /dev/stdin", "dot tree /dev/stdin"}) {
+    CommandResult r = RunCliWithInput(kNegation, command);
+    EXPECT_EQ(r.exit_code, 1) << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("gerel: chase tree requires a negation-free"),
+              std::string::npos)
+        << command << "\n" << r.output;
+  }
 }
 
 TEST(CliTest, TranslateExample7ToDatalog) {

@@ -1,6 +1,6 @@
 // Property test: naive and semi-naive evaluation are the same function.
-// Random Datalog theories (the property-test generator with existentials
-// disabled) are evaluated by both engines; the resulting databases must
+// Random Datalog theories (CaseGenerator's dlg class) are evaluated by
+// both engines; the resulting databases must
 // be equal as sets and every relation's answer set identical.
 #include <gtest/gtest.h>
 
@@ -10,13 +10,15 @@
 #include "core/parser.h"
 #include "core/printer.h"
 #include "datalog/evaluator.h"
-#include "testing/random_theories.h"
+#include "testing/generator.h"
 
 namespace gerel {
 namespace {
 
-using gerel::testing::RandomParams;
-using gerel::testing::RandomTheoryGen;
+using gerel::testing::CaseGenerator;
+using gerel::testing::GenClass;
+using gerel::testing::GeneratedCase;
+using gerel::testing::GenOptions;
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<unsigned> {};
 
@@ -63,26 +65,33 @@ void ExpectSameModel(const Theory& theory, const Database& input,
 
 TEST_P(EngineEquivalenceTest, RandomDatalogTheories) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.num_rules = 6;
-  params.max_body_atoms = 3;
-  params.existential_prob = 0.0;  // Datalog only.
-  Theory theory = gen.Theory_(params);
-  Database input = gen.Database_(/*num_atoms=*/14, /*num_constants=*/5);
-  ExpectSameModel(theory, input, &syms);
+  GenOptions options;
+  options.num_relations = 4;
+  options.num_rules = 6;
+  options.max_body_atoms = 3;
+  options.num_vars = 4;
+  options.num_facts = 14;
+  options.num_constants = 5;
+  CaseGenerator gen(GetParam(), &syms, options);
+  GeneratedCase c = gen.Next(GenClass::kDatalog);
+  ExpectSameModel(c.theory, c.database, &syms);
 }
 
 TEST_P(EngineEquivalenceTest, RandomStratifiedTheories) {
   // Layer a stratified-negation tail over the random positive program:
   // the derived relations of the random stratum feed a negated check.
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.num_rules = 5;
-  params.existential_prob = 0.0;
-  Theory theory = gen.Theory_(params);
-  Database input = gen.Database_(/*num_atoms=*/12, /*num_constants=*/4);
+  GenOptions options;
+  options.num_relations = 4;
+  options.num_rules = 5;
+  options.max_body_atoms = 3;
+  options.num_vars = 4;
+  options.num_facts = 12;
+  options.num_constants = 4;
+  CaseGenerator gen(GetParam(), &syms, options);
+  GeneratedCase c = gen.Next(GenClass::kDatalog);
+  Theory theory = c.theory;
+  const Database& input = c.database;
 
   Term x = syms.Variable("X");
   RelationId p0 = syms.Relation("p0");

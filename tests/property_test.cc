@@ -1,10 +1,15 @@
 // Property-based tests: invariants of the paper's constructions swept
 // over randomly generated theories and databases (parameterized gtest;
-// one instantiation per seed).
+// one instantiation per seed). Cases come from the class-targeted
+// CaseGenerator. Properties that chase take a case whose Skolem chase is
+// certified to terminate (NextTerminatingCase) and run that chase, so
+// every seed checks a saturated chase and an unsaturated one fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
+#include <vector>
 
 #include "chase/chase.h"
 #include "chase/chase_tree.h"
@@ -16,7 +21,7 @@
 #include "core/printer.h"
 #include "datalog/evaluator.h"
 #include "stratified/stratified_chase.h"
-#include "testing/random_theories.h"
+#include "testing/generator.h"
 #include "transform/canonical.h"
 #include "transform/fg_to_ng.h"
 #include "transform/saturation.h"
@@ -24,10 +29,54 @@
 namespace gerel {
 namespace {
 
-using gerel::testing::RandomParams;
-using gerel::testing::RandomTheoryGen;
+using gerel::testing::AllGenClasses;
+using gerel::testing::CaseGenerator;
+using gerel::testing::ExtendedGenClasses;
+using gerel::testing::GenClass;
+using gerel::testing::GenClassTag;
+using gerel::testing::GeneratedCase;
+using gerel::testing::GenOptions;
+using gerel::testing::NextTerminatingCase;
 
 class PropertyTest : public ::testing::TestWithParam<unsigned> {};
+
+// The seven Figure 1 classes, then the five extended ones.
+// Domain-restricted and shy theories lie outside nfg, so properties that
+// sweep this list also see theories that no Figure 1 class contains.
+std::vector<GenClass> EveryGenClass() {
+  std::vector<GenClass> classes = AllGenClasses();
+  classes.insert(classes.end(), ExtendedGenClasses().begin(),
+                 ExtendedGenClasses().end());
+  return classes;
+}
+
+// Properties that hold in every class sweep EveryGenClass across seeds.
+GenClass SeedClass(unsigned seed) {
+  std::vector<GenClass> classes = EveryGenClass();
+  return classes[seed % classes.size()];
+}
+
+// Four relations, bodies of up to three atoms over four variables, and
+// 30% existential rules: wider joins than the GenOptions defaults.
+GenOptions BaseOptions() {
+  GenOptions options;
+  options.num_relations = 4;
+  options.max_body_atoms = 3;
+  options.num_vars = 4;
+  options.existential_prob = 0.3;
+  return options;
+}
+
+// The Skolem chase under step and atom caps of `cap`: the chase the
+// termination certificate covers. Its ground consequences are those of
+// the oblivious chase.
+ChaseOptions SkolemChase(size_t cap) {
+  ChaseOptions opts;
+  opts.max_steps = cap;
+  opts.max_atoms = cap;
+  opts.semi_oblivious = true;
+  return opts;
+}
 
 // Collect the ground constant-only atoms over the relations of `theory`.
 std::set<std::string> GroundFacts(const Database& db, const Theory& theory,
@@ -42,30 +91,36 @@ std::set<std::string> GroundFacts(const Database& db, const Theory& theory,
   return out;
 }
 
-// P1: the Figure 1 syntactic inclusions hold for every random rule.
+// P1: the Figure 1 syntactic inclusions hold for every random rule, in
+// theories drawn from each of the seven classes and the five extended
+// ones.
 TEST_P(PropertyTest, ClassificationImplications) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.num_rules = 8;
-  params.existential_prob = 0.5;
-  Theory t = gen.Theory_(params);
-  PositionSet ap = AffectedPositions(t);
-  for (const Rule& r : t.rules()) {
-    if (IsGuardedRule(r)) {
-      EXPECT_TRUE(IsFrontierGuardedRule(r)) << ToString(r, syms);
-      EXPECT_TRUE(IsWeaklyGuardedRule(r, ap)) << ToString(r, syms);
-      EXPECT_TRUE(IsNearlyGuardedRule(r, ap)) << ToString(r, syms);
-    }
-    if (IsFrontierGuardedRule(r)) {
-      EXPECT_TRUE(IsWeaklyFrontierGuardedRule(r, ap)) << ToString(r, syms);
-      EXPECT_TRUE(IsNearlyFrontierGuardedRule(r, ap)) << ToString(r, syms);
-    }
-    if (IsWeaklyGuardedRule(r, ap)) {
-      EXPECT_TRUE(IsWeaklyFrontierGuardedRule(r, ap)) << ToString(r, syms);
-    }
-    if (IsNearlyGuardedRule(r, ap)) {
-      EXPECT_TRUE(IsNearlyFrontierGuardedRule(r, ap)) << ToString(r, syms);
+  GenOptions options = BaseOptions();
+  options.num_rules = 8;
+  options.existential_prob = 0.5;
+  CaseGenerator gen(GetParam(), &syms, options);
+  for (GenClass cls : EveryGenClass()) {
+    Theory t = gen.Next(cls).theory;
+    PositionSet ap = AffectedPositions(t);
+    for (const Rule& r : t.rules()) {
+      std::string rule = std::string(GenClassTag(cls)) + ": " +
+                         ToString(r, syms);
+      if (IsGuardedRule(r)) {
+        EXPECT_TRUE(IsFrontierGuardedRule(r)) << rule;
+        EXPECT_TRUE(IsWeaklyGuardedRule(r, ap)) << rule;
+        EXPECT_TRUE(IsNearlyGuardedRule(r, ap)) << rule;
+      }
+      if (IsFrontierGuardedRule(r)) {
+        EXPECT_TRUE(IsWeaklyFrontierGuardedRule(r, ap)) << rule;
+        EXPECT_TRUE(IsNearlyFrontierGuardedRule(r, ap)) << rule;
+      }
+      if (IsWeaklyGuardedRule(r, ap)) {
+        EXPECT_TRUE(IsWeaklyFrontierGuardedRule(r, ap)) << rule;
+      }
+      if (IsNearlyGuardedRule(r, ap)) {
+        EXPECT_TRUE(IsNearlyFrontierGuardedRule(r, ap)) << rule;
+      }
     }
   }
 }
@@ -74,21 +129,21 @@ TEST_P(PropertyTest, ClassificationImplications) {
 // signature (Prop 1(b)).
 TEST_P(PropertyTest, NormalizePreservesGroundConsequences) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.force_frontier_guarded = true;
-  params.existential_prob = 0.4;
-  Theory t = gen.Theory_(params);
-  Database db = gen.Database_(8, 4);
-  ChaseOptions opts;
-  opts.max_steps = 20000;
-  opts.max_atoms = 20000;
-  ChaseResult before = Chase(t, db, &syms, opts);
-  if (!before.saturated) GTEST_SKIP() << "chase did not saturate";
+  GenOptions options = BaseOptions();
+  options.existential_prob = 0.4;
+  options.num_facts = 8;
+  options.num_constants = 4;
+  CaseGenerator gen(GetParam(), &syms, options);
+  std::optional<GeneratedCase> c =
+      NextTerminatingCase(&gen, GenClass::kFrontierGuarded, syms);
+  ASSERT_TRUE(c) << "no certified fg case";
+  const Theory& t = c->theory;
+  ChaseResult before = Chase(t, c->database, &syms, SkolemChase(20000));
+  ASSERT_TRUE(before.saturated) << ToString(t, syms);
   Theory normal = Normalize(t, &syms);
   SymbolTable syms2 = syms;
-  ChaseResult after = Chase(normal, db, &syms2, opts);
-  if (!after.saturated) GTEST_SKIP() << "normalized chase did not saturate";
+  ChaseResult after = Chase(normal, c->database, &syms2, SkolemChase(20000));
+  ASSERT_TRUE(after.saturated) << ToString(normal, syms);
   EXPECT_EQ(GroundFacts(before.database, t, syms),
             GroundFacts(after.database, t, syms));
 }
@@ -97,25 +152,19 @@ TEST_P(PropertyTest, NormalizePreservesGroundConsequences) {
 // reordering.
 TEST_P(PropertyTest, CanonicalStringInvariance) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.num_rules = 6;
-  Theory t = gen.Theory_(params);
+  GenOptions options = BaseOptions();
+  options.num_rules = 6;
+  CaseGenerator gen(GetParam(), &syms, options);
+  Theory t = gen.Next(SeedClass(GetParam())).theory;
   std::mt19937& rng = gen.rng();
   for (const Rule& rule : t.rules()) {
     std::string base = CanonicalRuleString(rule, syms);
-    // Rename variables with a random injective map.
+    // Rename variables injectively and shuffle the body.
     std::vector<Term> vars = rule.Vars();
-    std::vector<Term> fresh;
-    for (size_t i = 0; i < vars.size(); ++i) {
-      fresh.push_back(syms.Variable("Zp" + std::to_string(i + rng() % 7)));
-    }
-    // Ensure injectivity by index offsetting.
-    for (size_t i = 0; i < fresh.size(); ++i) {
-      fresh[i] = syms.Variable("Zq" + std::to_string(i));
-    }
     Substitution rename;
-    for (size_t i = 0; i < vars.size(); ++i) rename.Bind(vars[i], fresh[i]);
+    for (size_t i = 0; i < vars.size(); ++i) {
+      rename.Bind(vars[i], syms.Variable("Zq" + std::to_string(i)));
+    }
     Rule renamed = rename.Apply(rule);
     std::shuffle(renamed.body.begin(), renamed.body.end(), rng);
     EXPECT_EQ(base, CanonicalRuleString(renamed, syms))
@@ -126,14 +175,15 @@ TEST_P(PropertyTest, CanonicalStringInvariance) {
 // P4: the homomorphism matcher agrees with brute-force enumeration.
 TEST_P(PropertyTest, MatcherAgreesWithBruteForce) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.num_rules = 3;
-  params.max_body_atoms = 2;
-  Theory t = gen.Theory_(params);
-  Database db = gen.Database_(10, 3);
+  GenOptions options = BaseOptions();
+  options.num_rules = 3;
+  options.max_body_atoms = 2;
+  options.num_facts = 10;
+  CaseGenerator gen(GetParam(), &syms, options);
+  GeneratedCase c = gen.Next(SeedClass(GetParam()));
+  const Database& db = c.database;
   std::vector<Term> domain = db.ActiveTerms();
-  for (const Rule& rule : t.rules()) {
+  for (const Rule& rule : c.theory.rules()) {
     std::vector<Atom> pattern = rule.PositiveBody();
     size_t fast = 0;
     ForEachHomomorphism(pattern, db, Substitution(),
@@ -180,25 +230,24 @@ TEST_P(PropertyTest, MatcherAgreesWithBruteForce) {
 // consequences (Thm 3).
 TEST_P(PropertyTest, SaturationMatchesChaseOnGuardedTheories) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.force_guarded = true;
-  params.num_rules = 3;
-  params.existential_prob = 0.5;
-  Theory t = gen.Theory_(params);
-  if (!Classify(t).guarded) GTEST_SKIP() << "generator failed to guard";
-  Database db = gen.Database_(6, 3);
-  ChaseOptions opts;
-  opts.max_steps = 20000;
-  opts.max_atoms = 20000;
-  ChaseResult chase = Chase(t, db, &syms, opts);
-  if (!chase.saturated) GTEST_SKIP() << "chase did not saturate";
+  GenOptions options = BaseOptions();
+  options.num_rules = 3;
+  options.existential_prob = 0.5;
+  options.num_facts = 6;
+  CaseGenerator gen(GetParam(), &syms, options);
+  std::optional<GeneratedCase> c =
+      NextTerminatingCase(&gen, GenClass::kGuarded, syms);
+  ASSERT_TRUE(c) << "no certified guarded case";
+  const Theory& t = c->theory;
+  ASSERT_TRUE(Classify(t).guarded) << ToString(t, syms);
+  ChaseResult chase = Chase(t, c->database, &syms, SkolemChase(20000));
+  ASSERT_TRUE(chase.saturated) << ToString(t, syms);
   SaturationOptions sopts;
   sopts.max_rules = 20000;
   auto sat = Saturate(t, &syms, sopts);
   ASSERT_TRUE(sat.ok()) << sat.status().message();
-  if (!sat.value().complete) GTEST_SKIP() << "saturation capped";
-  auto eval = EvaluateDatalog(sat.value().datalog, db, &syms);
+  ASSERT_TRUE(sat.value().complete) << "saturation capped";
+  auto eval = EvaluateDatalog(sat.value().datalog, c->database, &syms);
   ASSERT_TRUE(eval.ok()) << eval.status().message();
   EXPECT_EQ(GroundFacts(chase.database, t, syms),
             GroundFacts(eval.value().database, t, syms));
@@ -207,22 +256,18 @@ TEST_P(PropertyTest, SaturationMatchesChaseOnGuardedTheories) {
 // P6: chase trees of random frontier-guarded theories satisfy Prop 2.
 TEST_P(PropertyTest, ChaseTreePropertiesOnRandomFgTheories) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.force_frontier_guarded = true;
-  params.existential_prob = 0.4;
-  Theory t = gen.Theory_(params);
-  Theory normal = Normalize(t, &syms);
-  if (!Classify(normal).frontier_guarded) {
-    GTEST_SKIP() << "generator failed to frontier-guard";
-  }
-  Database db = gen.Database_(6, 3);
-  ChaseOptions opts;
-  opts.max_steps = 20000;
-  opts.max_atoms = 20000;
-  auto tree = BuildChaseTree(normal, db, &syms, opts);
-  if (!tree.ok()) GTEST_SKIP() << tree.status().message();
-  Status props = CheckChaseTreeProperties(tree.value(), normal, db);
+  GenOptions options = BaseOptions();
+  options.existential_prob = 0.4;
+  options.num_facts = 6;
+  CaseGenerator gen(GetParam(), &syms, options);
+  std::optional<GeneratedCase> c =
+      NextTerminatingCase(&gen, GenClass::kFrontierGuarded, syms);
+  ASSERT_TRUE(c) << "no certified fg case";
+  Theory normal = Normalize(c->theory, &syms);
+  ASSERT_TRUE(Classify(normal).frontier_guarded) << ToString(normal, syms);
+  auto tree = BuildChaseTree(normal, c->database, &syms, SkolemChase(20000));
+  ASSERT_TRUE(tree.ok()) << tree.status().message();
+  Status props = CheckChaseTreeProperties(tree.value(), normal, c->database);
   EXPECT_TRUE(props.ok()) << props.message();
 }
 
@@ -230,34 +275,29 @@ TEST_P(PropertyTest, ChaseTreePropertiesOnRandomFgTheories) {
 // ground consequences over the original signature.
 TEST_P(PropertyTest, RewriteFgPreservesGroundConsequences) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.force_frontier_guarded = true;
-  params.num_rules = 3;
-  params.max_body_atoms = 2;
-  params.num_vars = 3;
-  params.existential_prob = 0.4;
-  Theory t = gen.Theory_(params);
+  GenOptions options = BaseOptions();
+  options.num_rules = 3;
+  options.max_body_atoms = 2;
+  options.num_vars = 3;
+  options.existential_prob = 0.4;
+  options.num_facts = 5;
+  CaseGenerator gen(GetParam(), &syms, options);
+  std::optional<GeneratedCase> c =
+      NextTerminatingCase(&gen, GenClass::kFrontierGuarded, syms);
+  ASSERT_TRUE(c) << "no certified fg case";
+  const Theory& t = c->theory;
   Theory normal = Normalize(t, &syms);
-  if (!Classify(normal).frontier_guarded) {
-    GTEST_SKIP() << "generator failed to frontier-guard";
-  }
-  Database db = gen.Database_(5, 3);
-  ChaseOptions opts;
-  opts.max_steps = 50000;
-  opts.max_atoms = 50000;
-  ChaseResult oracle = Chase(t, db, &syms, opts);
-  if (!oracle.saturated) GTEST_SKIP() << "chase did not saturate";
+  ASSERT_TRUE(Classify(normal).frontier_guarded) << ToString(normal, syms);
+  ChaseResult oracle = Chase(t, c->database, &syms, SkolemChase(50000));
+  ASSERT_TRUE(oracle.saturated) << ToString(t, syms);
   ExpansionOptions eopts;
   eopts.max_rules = 100000;
   auto rew = RewriteFgToNearlyGuarded(normal, &syms, eopts);
   ASSERT_TRUE(rew.ok()) << rew.status().message();
   SymbolTable syms2 = syms;
-  ChaseOptions big;
-  big.max_steps = 2000000;
-  big.max_atoms = 2000000;
-  ChaseResult rewritten = Chase(rew.value().theory, db, &syms2, big);
-  if (!rewritten.saturated) GTEST_SKIP() << "rewritten chase unsaturated";
+  ChaseResult rewritten =
+      Chase(rew.value().theory, c->database, &syms2, SkolemChase(2000000));
+  ASSERT_TRUE(rewritten.saturated) << "rewritten chase unsaturated";
   EXPECT_EQ(GroundFacts(oracle.database, t, syms),
             GroundFacts(rewritten.database, t, syms))
       << "theory:\n"
@@ -268,23 +308,15 @@ TEST_P(PropertyTest, RewriteFgPreservesGroundConsequences) {
 // Datalog programs.
 TEST_P(PropertyTest, StratifiedChaseMatchesDatalogOnSemipositive) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.existential_prob = 0.0;
-  params.num_rules = 4;
-  Theory t = gen.Theory_(params);
+  GenOptions options = BaseOptions();
+  options.num_facts = 8;
+  CaseGenerator gen(GetParam(), &syms, options);
+  GeneratedCase c = gen.Next(GenClass::kDatalog);
+  Theory t = c.theory;
   // Add one semipositive rule over a fresh relation.
   RelationId r0 = t.Relations().front();
-  int arity = 0;
-  for (const Rule& rule : t.rules()) {
-    for (const Literal& l : rule.body) {
-      if (l.atom.pred == r0) arity = static_cast<int>(l.atom.args.size());
-    }
-    for (const Atom& a : rule.head) {
-      if (a.pred == r0) arity = static_cast<int>(a.args.size());
-    }
-  }
-  if (arity == 0) GTEST_SKIP() << "no usable relation";
+  int arity = syms.RelationArity(r0);
+  ASSERT_GT(arity, 0) << "no usable relation";
   RelationId comp = syms.Relation("complement_out", arity);
   RelationId acdom = AcdomRelation(&syms);
   Rule neg;
@@ -296,11 +328,10 @@ TEST_P(PropertyTest, StratifiedChaseMatchesDatalogOnSemipositive) {
   neg.body.emplace_back(Atom(r0, xs), /*negated=*/true);
   neg.head.push_back(Atom(comp, xs));
   t.AddRule(std::move(neg));
-  Database db = gen.Database_(8, 3);
-  auto stratified = StratifiedChase(t, db, &syms);
+  auto stratified = StratifiedChase(t, c.database, &syms);
   ASSERT_TRUE(stratified.ok()) << stratified.status().message();
-  if (!stratified.value().saturated) GTEST_SKIP();
-  auto datalog = EvaluateDatalog(t, db, &syms);
+  ASSERT_TRUE(stratified.value().saturated) << ToString(t, syms);
+  auto datalog = EvaluateDatalog(t, c.database, &syms);
   ASSERT_TRUE(datalog.ok()) << datalog.status().message();
   EXPECT_EQ(GroundFacts(stratified.value().database, t, syms),
             GroundFacts(datalog.value().database, t, syms));
@@ -311,21 +342,24 @@ TEST_P(PropertyTest, StratifiedChaseMatchesDatalogOnSemipositive) {
 // facts never removes ground consequences.
 TEST_P(PropertyTest, PositiveTheoriesAreMonotonic) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.existential_prob = 0.3;
-  Theory t = gen.Theory_(params);
-  Database small = gen.Database_(5, 3);
-  Database extra = gen.Database_(4, 3);
-  Database large = small;
-  for (const Atom& a : extra.atoms()) large.Insert(a);
-  ChaseOptions opts;
-  opts.max_steps = 20000;
-  opts.max_atoms = 20000;
-  ChaseResult r_small = Chase(t, small, &syms, opts);
+  GenOptions options = BaseOptions();
+  options.existential_prob = 0.3;
+  options.num_facts = 9;
+  CaseGenerator gen(GetParam(), &syms, options);
+  std::optional<GeneratedCase> c =
+      NextTerminatingCase(&gen, SeedClass(GetParam()), syms);
+  ASSERT_TRUE(c) << "no certified case";
+  const Theory& t = c->theory;
+  // The first five facts against all of them.
+  const Database& large = c->database;
+  Database small;
+  for (size_t i = 0; i < large.size() && i < 5; ++i) {
+    small.Insert(large.atom(i));
+  }
+  ChaseResult r_small = Chase(t, small, &syms, SkolemChase(20000));
   SymbolTable syms2 = syms;
-  ChaseResult r_large = Chase(t, large, &syms2, opts);
-  if (!r_small.saturated || !r_large.saturated) GTEST_SKIP();
+  ChaseResult r_large = Chase(t, large, &syms2, SkolemChase(20000));
+  ASSERT_TRUE(r_small.saturated && r_large.saturated) << ToString(t, syms);
   std::set<std::string> before = GroundFacts(r_small.database, t, syms);
   std::set<std::string> after = GroundFacts(r_large.database, t, syms);
   for (const std::string& fact : before) {
@@ -336,31 +370,32 @@ TEST_P(PropertyTest, PositiveTheoriesAreMonotonic) {
 // P9: MakeProper round-trips databases.
 TEST_P(PropertyTest, ProperReorderingRoundTrip) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.existential_prob = 0.5;
-  Theory t = gen.Theory_(params);
-  Database db = gen.Database_(10, 4);
-  ProperReordering pr = MakeProper(t);
+  GenOptions options = BaseOptions();
+  options.existential_prob = 0.5;
+  options.num_facts = 10;
+  options.num_constants = 4;
+  CaseGenerator gen(GetParam(), &syms, options);
+  GeneratedCase c = gen.Next(SeedClass(GetParam()));
+  ProperReordering pr = MakeProper(c.theory);
   EXPECT_TRUE(IsProper(pr.theory));
-  Database mapped = pr.Apply(db);
+  Database mapped = pr.Apply(c.database);
   Database back = pr.Invert(mapped);
-  EXPECT_TRUE(back == db);
+  EXPECT_TRUE(back == c.database);
 }
 
 // P10: the chase result is a solution — it satisfies every rule (§2).
 TEST_P(PropertyTest, ChaseResultSatisfiesTheTheory) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.existential_prob = 0.3;
-  Theory t = gen.Theory_(params);
-  Database db = gen.Database_(6, 3);
-  ChaseOptions opts;
-  opts.max_steps = 20000;
-  opts.max_atoms = 20000;
-  ChaseResult r = Chase(t, db, &syms, opts);
-  if (!r.saturated) GTEST_SKIP();
+  GenOptions options = BaseOptions();
+  options.existential_prob = 0.3;
+  options.num_facts = 6;
+  CaseGenerator gen(GetParam(), &syms, options);
+  std::optional<GeneratedCase> c =
+      NextTerminatingCase(&gen, SeedClass(GetParam()), syms);
+  ASSERT_TRUE(c) << "no certified case";
+  const Theory& t = c->theory;
+  ChaseResult r = Chase(t, c->database, &syms, SkolemChase(20000));
+  ASSERT_TRUE(r.saturated) << ToString(t, syms);
   for (const Rule& rule : t.rules()) {
     std::vector<Atom> body = rule.PositiveBody();
     bool satisfied = true;
@@ -382,27 +417,24 @@ TEST_P(PropertyTest, ChaseResultSatisfiesTheTheory) {
 // terminating semi-oblivious (Skolem) chases.
 TEST_P(PropertyTest, AcyclicityImplications) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.existential_prob = 0.5;
-  params.num_rules = 5;
-  Theory t = gen.Theory_(params);
+  GenOptions options = BaseOptions();
+  options.num_rules = 5;
+  options.existential_prob = 0.5;
+  options.num_facts = 5;
+  CaseGenerator gen(GetParam(), &syms, options);
+  GeneratedCase c = gen.Next(SeedClass(GetParam()));
+  const Theory& t = c.theory;
   bool wa = IsWeaklyAcyclic(t);
   bool ja = IsJointlyAcyclic(t);
-  if (wa) EXPECT_TRUE(ja) << "weakly acyclic but not jointly acyclic";
-  Database db = gen.Database_(5, 3);
-  ChaseOptions opts;
-  opts.max_steps = 200000;
-  opts.max_atoms = 200000;
+  if (wa) {
+    EXPECT_TRUE(ja) << "weakly acyclic but not jointly acyclic";
+  }
   // Both notions certify termination of the semi-oblivious (Skolem)
   // chase; the fully oblivious chase keys triggers on all body variables
   // and may diverge even on weakly acyclic theories (e.g.
   // p(x) → ∃y p(y), which has no frontier and hence no position edges).
   if (ja) {
-    SymbolTable s2 = syms;
-    ChaseOptions so = opts;
-    so.semi_oblivious = true;
-    ChaseResult r = Chase(t, db, &s2, so);
+    ChaseResult r = Chase(t, c.database, &syms, SkolemChase(200000));
     EXPECT_TRUE(r.saturated)
         << "jointly acyclic theory with diverging semi-oblivious chase:\n"
         << ToString(t, syms);
@@ -414,13 +446,12 @@ TEST_P(PropertyTest, AcyclicityImplications) {
 // count — for any worker-lane count.
 TEST_P(PropertyTest, ParallelSaturationIsByteIdenticalToSequential) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.force_guarded = true;
-  params.num_rules = 4;
-  params.existential_prob = 0.5;
-  Theory t = gen.Theory_(params);
-  if (!Classify(t).guarded) GTEST_SKIP() << "generator failed to guard";
+  GenOptions options = BaseOptions();
+  options.num_rules = 4;
+  options.existential_prob = 0.5;
+  CaseGenerator gen(GetParam(), &syms, options);
+  Theory t = gen.Next(GenClass::kGuarded).theory;
+  ASSERT_TRUE(Classify(t).guarded) << ToString(t, syms);
   SaturationOptions sopts;
   sopts.max_rules = 4000;
   SymbolTable seq_syms = syms;

@@ -4,20 +4,25 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "chase/chase.h"
 #include "core/database.h"
 #include "core/parser.h"
 #include "service/prepared_kb.h"
-#include "testing/random_theories.h"
+#include "testing/generator.h"
 #include "transform/pipeline.h"
 
 namespace gerel {
 namespace {
 
-using testing::RandomParams;
-using testing::RandomTheoryGen;
+using testing::CaseGenerator;
+using testing::GenClass;
+using testing::GeneratedCase;
+using testing::GenOptions;
+using testing::NextTerminatingCase;
 
 // One atomic CQ per theory relation: p(X1..Xk) -> out_p(X1..Xk).
 std::vector<Rule> RelationQueries(const Theory& theory, SymbolTable* syms) {
@@ -61,11 +66,16 @@ class ServiceIncrementalTest : public ::testing::TestWithParam<unsigned> {};
 // the one-shot pipeline must agree exactly.
 TEST_P(ServiceIncrementalTest, DatalogThreeWayEquivalence) {
   SymbolTable syms;
-  RandomTheoryGen gen(GetParam(), &syms);
-  RandomParams params;
-  params.existential_prob = 0.0;
-  Theory theory = gen.Theory_(params);
-  Database db = gen.Database_(/*num_atoms=*/12, /*num_constants=*/4);
+  GenOptions options;
+  options.num_relations = 4;
+  options.max_body_atoms = 3;
+  options.num_vars = 4;
+  options.num_facts = 12;
+  options.num_constants = 4;
+  CaseGenerator gen(GetParam(), &syms, options);
+  GeneratedCase c = gen.Next(GenClass::kDatalog);
+  const Theory& theory = c.theory;
+  const Database& db = c.database;
   Database initial;
   std::vector<Atom> rest;
   Split(db, &initial, &rest);
@@ -102,21 +112,15 @@ TEST_P(ServiceIncrementalTest, DatalogThreeWayEquivalence) {
   }
 }
 
-// Guarded existential theories: the incrementally extended KB must agree
-// with a fresh prepare, and its answers must be a sound subset of the
-// one-shot pipeline's (equal when certified complete).
-TEST_P(ServiceIncrementalTest, GuardedIncrementalMatchesFresh) {
-  SymbolTable syms;
-  RandomTheoryGen gen(GetParam() + 1000, &syms);
-  RandomParams params;
-  params.num_relations = 3;
-  params.num_rules = 3;
-  params.max_body_atoms = 2;
-  params.num_vars = 3;
-  params.existential_prob = 0.4;
-  params.force_guarded = true;
-  Theory theory = gen.Theory_(params);
-  Database db = gen.Database_(/*num_atoms=*/8, /*num_constants=*/3);
+// Guarded existential theories with a termination certificate: the
+// incrementally extended KB must agree with a fresh prepare, and its
+// answers must be sound for the Skolem chase of the final database (the
+// certified universal model), and equal to them when complete. `mode` is
+// the materialization Prepare must pick.
+void CheckGuardedIncrementalMatchesFresh(const Theory& theory,
+                                         const Database& db,
+                                         SymbolTable* syms, bool planner,
+                                         PreparedKb::Mode mode) {
   Database initial;
   std::vector<Atom> rest;
   Split(db, &initial, &rest);
@@ -125,33 +129,70 @@ TEST_P(ServiceIncrementalTest, GuardedIncrementalMatchesFresh) {
   // tracked per query, and the fresh KB runs under the same caps.
   PreparedKbOptions options;
   options.pipeline.saturation.max_rules = 20000;
+  options.planner = planner;
   Result<std::unique_ptr<PreparedKb>> kb =
-      PreparedKb::Prepare(theory, initial, &syms, options);
+      PreparedKb::Prepare(theory, initial, syms, options);
   ASSERT_TRUE(kb.ok()) << kb.status().message();
+  ASSERT_EQ(kb.value()->mode(), mode);
   for (const Atom& fact : rest) {
     ASSERT_TRUE(kb.value()->Assert({fact}).ok());
   }
   Result<std::unique_ptr<PreparedKb>> fresh =
-      PreparedKb::Prepare(theory, db, &syms, options);
+      PreparedKb::Prepare(theory, db, syms, options);
   ASSERT_TRUE(fresh.ok()) << fresh.status().message();
+  ASSERT_EQ(fresh.value()->mode(), mode);
 
-  for (const Rule& cq : RelationQueries(theory, &syms)) {
+  SymbolTable chase_syms = *syms;
+  ChaseOptions skolem;
+  skolem.semi_oblivious = true;
+  ChaseResult chase = Chase(theory, db, &chase_syms, skolem);
+  ASSERT_TRUE(chase.saturated);
+  for (const Rule& cq : RelationQueries(theory, syms)) {
     Result<PreparedQueryResult> incr = kb.value()->Query(cq);
     ASSERT_TRUE(incr.ok()) << incr.status().message();
     Result<PreparedQueryResult> full = fresh.value()->Query(cq);
     ASSERT_TRUE(full.ok()) << full.status().message();
     EXPECT_EQ(incr.value().answers, full.value().answers);
     EXPECT_EQ(incr.value().complete, full.value().complete);
-    Result<KbQueryResult> oneshot =
-        AnswerKbQuery(theory, cq, db, &syms, options.pipeline);
-    if (!oneshot.ok()) continue;  // e.g. ungroundable under caps
+    std::set<std::vector<Term>> certain;
+    for (uint32_t i : chase.database.AtomsOf(cq.body[0].atom.pred)) {
+      const Atom& a = chase.database.atom(i);
+      if (a.IsGroundOverConstants()) certain.insert(a.args);
+    }
     for (const std::vector<Term>& tuple : incr.value().answers) {
-      EXPECT_TRUE(oneshot.value().answers.count(tuple))
-          << "unsound answer for seed " << GetParam();
+      EXPECT_TRUE(certain.count(tuple)) << "unsound answer";
     }
-    if (incr.value().complete && oneshot.value().complete) {
-      EXPECT_EQ(incr.value().answers, oneshot.value().answers);
+    if (incr.value().complete) {
+      EXPECT_EQ(incr.value().answers, certain);
     }
+  }
+}
+
+// Runs the check twice on a certified guarded theory: with the planner
+// off, Prepare materializes dat(Σ) and asserts take its Datalog delta
+// path; with it on, the certificate picks the Skolem chase and asserts
+// re-chase.
+TEST_P(ServiceIncrementalTest, GuardedIncrementalMatchesFresh) {
+  SymbolTable syms;
+  GenOptions options;
+  options.num_rules = 3;
+  options.existential_prob = 0.7;
+  options.num_facts = 8;
+  CaseGenerator gen(GetParam() + 1000, &syms, options);
+  std::optional<GeneratedCase> c =
+      NextTerminatingCase(&gen, GenClass::kGuarded, syms);
+  ASSERT_TRUE(c) << "no certified guarded case";
+  {
+    SCOPED_TRACE("planner off");
+    CheckGuardedIncrementalMatchesFresh(c->theory, c->database, &syms,
+                                        /*planner=*/false,
+                                        PreparedKb::Mode::kGuarded);
+  }
+  {
+    SCOPED_TRACE("planner on");
+    CheckGuardedIncrementalMatchesFresh(
+        c->theory, c->database, &syms, /*planner=*/true,
+        PreparedKb::Mode::kChaseMaterialized);
   }
 }
 

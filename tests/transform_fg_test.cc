@@ -3,6 +3,11 @@
 // Prop 5).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "chase/chase.h"
 #include "core/classify.h"
 #include "core/normalize.h"
@@ -11,6 +16,7 @@
 #include "transform/acdom.h"
 #include "transform/canonical.h"
 #include "transform/fg_to_ng.h"
+#include "testing/generator.h"
 #include "transform/rewriting.h"
 
 namespace gerel {
@@ -354,6 +360,101 @@ TEST(RewriteFgTest, ConstantCyclesStillWork) {
   std::set<std::vector<Term>> expected = {
       {syms.Constant("u")}, {syms.Constant("v")}, {syms.Constant("w")}};
   EXPECT_EQ(ChaseAnswers(rew.value().theory, db, p, &syms), expected);
+}
+
+// E12: the restricted default expansion next to the paper-letter
+// enumerations — every selection of Def 7, every guard tuple of
+// Defs 10/11, and both. The restrictions drop only subsumed rules, so
+// rew(Σ) must give the same answers under all four.
+struct ExpansionVariant {
+  const char* name;
+  bool idempotent_selections_only;
+  bool exhaustive_guards;
+};
+constexpr ExpansionVariant kExpansionVariants[] = {
+    {"default", true, false},
+    {"all-selections", false, false},
+    {"exhaustive-guards", true, true},
+    {"all-selections+exhaustive-guards", false, true},
+};
+
+ExpansionOptions VariantOptions(const ExpansionVariant& v) {
+  ExpansionOptions opts;
+  opts.idempotent_selections_only = v.idempotent_selections_only;
+  opts.exhaustive_guards = v.exhaustive_guards;
+  opts.max_rules = 400000;
+  return opts;
+}
+
+TEST(ExpansionVariantsTest, NullCycleAnswersMatchDefaults) {
+  SymbolTable syms;
+  Theory raw = MustParseTheory(kNullCycleTheory, &syms);
+  Theory normal = Normalize(raw, &syms);
+  Database db =
+      ParseDatabase("a(c). r(u, v). r(v, w). r(w, u).", &syms).value();
+  RelationId p = syms.Relation("p");
+  std::set<std::vector<Term>> expected = {
+      {syms.Constant("c")}, {syms.Constant("u")}, {syms.Constant("v")},
+      {syms.Constant("w")}};
+  ASSERT_EQ(ChaseAnswers(raw, db, p, &syms), expected);
+  for (const ExpansionVariant& v : kExpansionVariants) {
+    SymbolTable vsyms = syms;
+    Result<RewriteResult> rew =
+        RewriteFgToNearlyGuarded(normal, &vsyms, VariantOptions(v));
+    ASSERT_TRUE(rew.ok()) << v.name << ": " << rew.status().message();
+    EXPECT_TRUE(rew.value().complete) << v.name;
+    EXPECT_EQ(ChaseAnswers(rew.value().theory, db, p, &vsyms), expected)
+        << v.name;
+  }
+}
+
+// The ground atoms over `theory`'s relations in the Skolem chase of `db`.
+std::set<std::string> SkolemGroundFacts(const Theory& chased,
+                                        const Theory& theory,
+                                        const Database& db,
+                                        SymbolTable* syms) {
+  ChaseOptions opts;
+  opts.semi_oblivious = true;
+  ChaseResult r = Chase(chased, db, syms, opts);
+  EXPECT_TRUE(r.saturated);
+  std::set<std::string> out;
+  for (RelationId rel : theory.Relations()) {
+    for (uint32_t i : r.database.AtomsOf(rel)) {
+      const Atom& a = r.database.atom(i);
+      if (a.IsGroundOverConstants()) out.insert(ToString(a, *syms));
+    }
+  }
+  return out;
+}
+
+TEST(ExpansionVariantsTest, CertifiedFgCasesMatchDefaults) {
+  for (unsigned seed = 0; seed < 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SymbolTable syms;
+    testing::GenOptions options;
+    options.num_rules = 3;
+    options.existential_prob = 0.4;
+    testing::CaseGenerator gen(seed, &syms, options);
+    std::optional<testing::GeneratedCase> c = testing::NextTerminatingCase(
+        &gen, testing::GenClass::kFrontierGuarded, syms);
+    ASSERT_TRUE(c) << "no certified fg case";
+    Theory normal = Normalize(c->theory, &syms);
+    SymbolTable chase_syms = syms;
+    std::set<std::string> expected =
+        SkolemGroundFacts(c->theory, c->theory, c->database, &chase_syms);
+    for (const ExpansionVariant& v : kExpansionVariants) {
+      SymbolTable vsyms = syms;
+      Result<RewriteResult> rew =
+          RewriteFgToNearlyGuarded(normal, &vsyms, VariantOptions(v));
+      ASSERT_TRUE(rew.ok()) << v.name << ": " << rew.status().message();
+      ASSERT_TRUE(rew.value().complete) << v.name;
+      EXPECT_EQ(SkolemGroundFacts(rew.value().theory, c->theory, c->database,
+                                  &vsyms),
+                expected)
+          << v.name << "\n"
+          << ToString(c->theory, syms);
+    }
+  }
 }
 
 TEST(RewriteNfgTest, Proposition4TransitiveClosureMix) {

@@ -81,6 +81,13 @@ int Fail(const std::string& message) {
   return 1;
 }
 
+// Chase takes negation-free theories only; `chase` and `answer
+// --route=chase` reject programs with stratified negation before they
+// reach it (BuildChaseTree rejects them itself).
+constexpr char kChaseNegation[] =
+    "the chase takes negation-free programs only; for stratified negation "
+    "use gerel answer <program> <relation> --route=datalog";
+
 Result<std::string> ReadFile(const char* path) {
   std::ifstream in(path);
   if (!in) return Status::Error(std::string("cannot open ") + path);
@@ -277,6 +284,7 @@ int RunChase(const ParsedArgs& args) {
   if (!text.ok()) return Fail(text.status().message());
   auto program = ParseProgram(text.value(), &syms);
   if (!program.ok()) return Fail(program.status().message());
+  if (program.value().theory.HasNegation()) return Fail(kChaseNegation);
   ChaseOptions chase_opts = args.chase;
   ExecutionBudget budget(CliBudget(args), GlobalFaultPlan());
   if (args.timeout_ms > 0) chase_opts.budget = &budget;
@@ -387,6 +395,7 @@ int Answer(const ParsedArgs& args) {
   ExecutionBudget* budget_ptr = limits.unlimited() ? nullptr : &budget;
   DegradationReason degradation;
   if (args.route == "chase") {
+    if (program.value().theory.HasNegation()) return Fail(kChaseNegation);
     ChaseOptions chase_opts = args.chase;
     chase_opts.budget = budget_ptr;
     ChaseResult r = Chase(program.value().theory, program.value().database,
